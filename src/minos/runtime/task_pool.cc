@@ -59,15 +59,15 @@ std::vector<Micros> TaskPool::RunEpoch(std::vector<Task> tasks,
 
   {
     std::lock_guard<std::mutex> lock(mu_);
+    epoch->generation = ++generation_;
     // Deterministic initial placement: task i starts on worker i % N.
     // Stealing redistributes the wall-clock work, never the results.
     for (size_t i = 0; i < tasks.size(); ++i) {
       WorkerQueue& q = queues_[i % queues_.size()];
       std::lock_guard<std::mutex> qlock(q.mu);
-      q.tasks.push_back(i);
+      q.tasks.push_back(QueuedTask{epoch->generation, i});
     }
     epoch_ = epoch;
-    ++generation_;
   }
   work_cv_.notify_all();
 
@@ -147,7 +147,7 @@ void TaskPool::WorkerLoop(size_t self) {
     }
     size_t index;
     while (epoch->remaining.load(std::memory_order_acquire) != 0 &&
-           ClaimTask(self, &index)) {
+           ClaimTask(self, epoch->generation, &index)) {
       const std::vector<obs::Tracer::TaskSink*>* sinks = epoch->sinks;
       {
         SimClock::Frame frame(clock_, epoch->base);
@@ -173,13 +173,14 @@ void TaskPool::WorkerLoop(size_t self) {
   }
 }
 
-bool TaskPool::ClaimTask(size_t self, size_t* index) {
+bool TaskPool::ClaimTask(size_t self, uint64_t generation, size_t* index) {
   const size_t n = queues_.size();
   {
     WorkerQueue& own = queues_[self];
     std::lock_guard<std::mutex> lock(own.mu);
     if (!own.tasks.empty()) {
-      *index = own.tasks.front();
+      if (own.tasks.front().generation != generation) return false;
+      *index = own.tasks.front().index;
       own.tasks.pop_front();
       return true;
     }
@@ -188,7 +189,8 @@ bool TaskPool::ClaimTask(size_t self, size_t* index) {
     WorkerQueue& victim = queues_[(self + step) % n];
     std::lock_guard<std::mutex> lock(victim.mu);
     if (!victim.tasks.empty()) {
-      *index = victim.tasks.back();
+      if (victim.tasks.back().generation != generation) return false;
+      *index = victim.tasks.back().index;
       victim.tasks.pop_back();
       steals_.fetch_add(1, std::memory_order_relaxed);
       return true;

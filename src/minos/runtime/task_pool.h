@@ -120,6 +120,7 @@ class TaskPool {
   /// the race for the last task may still probe `remaining` after the
   /// submitter has moved on, so the control block outlives the barrier.
   struct Epoch {
+    uint64_t generation = 0;                ///< Tags its queued indexes.
     std::vector<Task>* tasks = nullptr;
     Micros base = 0;                        ///< Frame start time.
     std::vector<Micros>* costs = nullptr;   ///< Per-task virtual cost.
@@ -128,16 +129,27 @@ class TaskPool {
     std::atomic<size_t> remaining{0};       ///< Tasks not yet finished.
   };
 
-  /// Per-worker deque of task indexes; owner pops the front, thieves
+  /// One queued task: its index, tagged with its epoch's generation.
+  struct QueuedTask {
+    uint64_t generation = 0;
+    size_t index = 0;
+  };
+
+  /// Per-worker deque of queued tasks; owner pops the front, thieves
   /// steal from the back.
   struct WorkerQueue {
     std::mutex mu;
-    std::deque<size_t> tasks;
+    std::deque<QueuedTask> tasks;
   };
 
   void WorkerLoop(size_t self);
-  /// Claims one task index: own queue first, then round-robin victims.
-  bool ClaimTask(size_t self, size_t* index);
+  /// Claims one task index of epoch `generation`: own queue first, then
+  /// round-robin victims. A worker still bound to a finished epoch can
+  /// race the submitter of the next one; the tag keeps it from claiming
+  /// (and running against the old task vector) an index of the new
+  /// epoch. Every queued task belongs to the newest epoch, so a
+  /// mismatched tag means this worker's epoch is over.
+  bool ClaimTask(size_t self, uint64_t generation, size_t* index);
   /// Serial fallback with identical semantics: nested RunEpoch calls.
   std::vector<Micros> RunInline(std::vector<Task>& tasks, TimeModel model);
   static Micros FoldCosts(const std::vector<Micros>& costs, TimeModel model);

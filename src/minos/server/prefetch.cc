@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -35,9 +37,7 @@ PrefetchQueue::PrefetchQueue(SimClock* clock, std::vector<Link*> links,
 }
 
 PrefetchQueue::~PrefetchQueue() {
-  for (const auto& [key, entry] : entries_) {
-    if (entry.ready) wasted_->Increment();
-  }
+  wasted_->Increment(static_cast<int64_t>(ready_count()));
 }
 
 void PrefetchQueue::UpdateDepth() {
@@ -53,16 +53,78 @@ void PrefetchQueue::SetTaskPool(runtime::TaskPool* pool,
 void PrefetchQueue::Enqueue(const PrefetchKey& key, int distance,
                             PageWork work, uint64_t affinity_object,
                             uint64_t bytes) {
-  if (!work || entries_.count(key) > 0) return;
-  Entry entry;
+  if (!work) return;
+  auto [it, inserted] = entries_.try_emplace(key);
+  if (!inserted) return;
+  Entry& entry = it->second;
   entry.distance = std::abs(distance);
   entry.seq = next_seq_++;
   entry.affinity_object = affinity_object;
   entry.bytes = bytes;
   entry.run = std::move(work);
-  entries_.emplace(key, std::move(entry));
+  pick_order_.emplace(std::pair{entry.distance, entry.seq}, it);
+  OwnerIndex& owner = owners_[key.owner];
+  owner.queued.emplace(entry.seq, it);
+  owner.live_bytes += bytes;
   enqueued_->Increment();
   UpdateDepth();
+}
+
+std::optional<PrefetchQueue::EvictRank> PrefetchQueue::RankOf(
+    const OwnerIndex& owner) {
+  if (owner.ready.empty()) return std::nullopt;
+  return EvictRank{owner.ready_bytes, owner.ready.begin()->first};
+}
+
+void PrefetchQueue::Rerank(uint64_t id, const OwnerIndex& owner,
+                           const std::optional<EvictRank>& before) {
+  const std::optional<EvictRank> after = RankOf(owner);
+  if (!before.has_value()) {
+    if (after.has_value()) evict_order_.emplace(*after, id);
+    return;
+  }
+  auto node = evict_order_.extract(*before);
+  if (!after.has_value()) return;
+  node.key() = *after;
+  evict_order_.insert(std::move(node));
+}
+
+void PrefetchQueue::MarkReady(EntryRef it, Micros ready_at) {
+  Entry& entry = it->second;
+  pick_order_.erase({entry.distance, entry.seq});
+  entry.ready = true;
+  entry.ready_at = ready_at;
+  entry.run = nullptr;
+  const uint64_t id = it->first.owner;
+  OwnerIndex& owner = owners_.at(id);
+  const std::optional<EvictRank> before = RankOf(owner);
+  owner.ready.insert(owner.queued.extract(entry.seq));
+  owner.ready_bytes += entry.bytes;
+  Rerank(id, owner, before);
+}
+
+PrefetchQueue::EntryRef PrefetchQueue::Erase(EntryRef it) {
+  const Entry& entry = it->second;
+  const uint64_t id = it->first.owner;
+  auto found = owners_.find(id);
+  OwnerIndex& owner = found->second;
+  if (entry.ready) {
+    const std::optional<EvictRank> before = RankOf(owner);
+    owner.ready.erase(entry.seq);
+    owner.ready_bytes -= entry.bytes;
+    Rerank(id, owner, before);
+  } else {
+    pick_order_.erase({entry.distance, entry.seq});
+    owner.queued.erase(entry.seq);
+  }
+  owner.live_bytes -= entry.bytes;
+  if (owner.queued.empty() && owner.ready.empty()) owners_.erase(found);
+  return entries_.erase(it);
+}
+
+PrefetchQueue::EntryRef PrefetchQueue::Drop(EntryRef it) {
+  (it->second.ready ? wasted_ : cancelled_)->Increment();
+  return Erase(it);
 }
 
 void PrefetchQueue::WantPage(const PrefetchKey& key, int distance,
@@ -80,7 +142,8 @@ void PrefetchQueue::WantObject(uint64_t object_id, int distance,
            [this, key, shared]() -> Status {
              StatusOr<object::MultimediaObject> got = (*shared)();
              if (!got.ok()) return got.status();
-             entries_[key].object = *std::move(got);
+             entries_.at(key).object =
+                 std::make_unique<object::MultimediaObject>(*std::move(got));
              return Status::OK();
            });
 }
@@ -94,13 +157,27 @@ void PrefetchQueue::WantMiniature(int position, int distance, CardWork work,
           [this, key, shared]() -> Status {
             StatusOr<MiniatureCard> got = (*shared)();
             if (!got.ok()) return got.status();
-            entries_[key].card = *std::move(got);
+            entries_.at(key).card =
+                std::make_unique<MiniatureCard>(*std::move(got));
             return Status::OK();
           },
           affinity_object);
 }
 
-bool PrefetchQueue::Issue(Entry& entry) {
+void PrefetchQueue::Book(EntryRef it, Micros start, Micros cost,
+                         const Status& verdict) {
+  issued_->Increment();
+  issue_cost_us_->Record(static_cast<double>(cost));
+  bg_free_at_ = std::max(bg_free_at_, start) + cost;
+  if (!verdict.ok()) {
+    errors_->Increment();
+    Erase(it);
+    return;
+  }
+  MarkReady(it, bg_free_at_);
+}
+
+void PrefetchQueue::Issue(EntryRef it) {
   const Micros start = clock_->Now();
   Status verdict = Status::OK();
   {
@@ -111,69 +188,43 @@ bool PrefetchQueue::Issue(Entry& entry) {
     for (Link* link : links_) {
       background.push_back(std::make_unique<Link::BackgroundScope>(link));
     }
-    verdict = entry.run();
+    verdict = it->second.run();
   }
   const Micros cost = clock_->Now() - start;
   // The foreground never saw this work: rewind and book the cost on the
   // serialized background channel instead.
   clock_->RewindTo(start);
-  issued_->Increment();
-  issue_cost_us_->Record(static_cast<double>(cost));
-  if (!verdict.ok()) {
-    errors_->Increment();
-    // Failed speculative work still occupied the channel while it tried.
-    bg_free_at_ = std::max(bg_free_at_, start) + cost;
-    return false;
-  }
-  entry.ready = true;
-  entry.ready_at = std::max(bg_free_at_, start) + cost;
-  bg_free_at_ = entry.ready_at;
-  entry.run = nullptr;
-  return true;
+  Book(it, start, cost, verdict);
 }
 
 void PrefetchQueue::Pump() {
   if (pumping_) return;  // A pumped transfer's retry is pumping us.
   pumping_ = true;
-  // Pick phase: nearest cursor distance first, FIFO among equals, at
-  // most max_inflight_per_pump entries. Issue outcomes never affect
-  // candidacy (issued entries turn ready, failed ones are erased —
-  // both leave the pick pool), so picking everything up front is the
-  // same sequence the issue-as-you-go loop produced.
-  std::vector<PrefetchKey> picked;
-  for (int slot = 0; slot < options_.max_inflight_per_pump; ++slot) {
-    const PrefetchKey* pick = nullptr;
-    for (const auto& [key, entry] : entries_) {
-      if (entry.ready) continue;
-      if (std::find(picked.begin(), picked.end(), key) != picked.end()) {
-        continue;
-      }
-      if (pick == nullptr) {
-        pick = &key;
-        continue;
-      }
-      const Entry& best = entries_.at(*pick);
-      if (entry.distance < best.distance ||
-          (entry.distance == best.distance && entry.seq < best.seq)) {
-        pick = &key;
-      }
-    }
-    if (pick == nullptr) break;
-    picked.push_back(*pick);
+  // Pick phase: the head of the pick order — nearest cursor distance
+  // first, FIFO among equals — at most max_inflight_per_pump entries.
+  // Issue outcomes never affect candidacy (issued entries turn ready,
+  // failed ones are erased — both leave the pick pool), so picking
+  // everything up front is the same sequence the issue-as-you-go loop
+  // produced.
+  const size_t limit =
+      static_cast<size_t>(std::max(0, options_.max_inflight_per_pump));
+  std::vector<EntryRef> picked;
+  picked.reserve(std::min(limit, pick_order_.size()));
+  for (auto it = pick_order_.begin();
+       it != pick_order_.end() && picked.size() < limit; ++it) {
+    picked.push_back(it->second);
   }
   if (pool_ != nullptr && picked.size() > 1) {
     IssuePooled(picked);
   } else {
-    for (const PrefetchKey& key : picked) {
-      if (!Issue(entries_.at(key))) entries_.erase(key);
-    }
+    for (EntryRef it : picked) Issue(it);
   }
   EvictOverCapacity();
   UpdateDepth();
   pumping_ = false;
 }
 
-void PrefetchQueue::IssuePooled(const std::vector<PrefetchKey>& picked) {
+void PrefetchQueue::IssuePooled(const std::vector<EntryRef>& picked) {
   // Group the picks by staging affinity: entries bound for different
   // shards ride different arms and may stage concurrently; entries of
   // one group — and every pick when no affinity oracle is installed —
@@ -183,7 +234,7 @@ void PrefetchQueue::IssuePooled(const std::vector<PrefetchKey>& picked) {
   std::vector<std::vector<size_t>> groups;
   for (size_t i = 0; i < picked.size(); ++i) {
     const uint64_t affinity =
-        affinity_ ? affinity_(entries_.at(picked[i]).affinity_object) : 0;
+        affinity_ ? affinity_(picked[i]->second.affinity_object) : 0;
     size_t g = 0;
     for (; g < group_ids.size(); ++g) {
       if (group_ids[g] == affinity) break;
@@ -212,11 +263,12 @@ void PrefetchQueue::IssuePooled(const std::vector<PrefetchKey>& picked) {
     std::vector<runtime::TaskPool::Task> tasks;
     tasks.reserve(groups.size());
     for (const std::vector<size_t>& group : groups) {
+      // Tasks only read the map and the indexes; every index update
+      // happens in the booking pass below, on this thread.
       tasks.push_back([this, &picked, &outcomes, &group] {
         for (size_t i : group) {
-          Entry& entry = entries_.at(picked[i]);
           const Micros start = clock_->Now();
-          outcomes[i].verdict = entry.run();
+          outcomes[i].verdict = picked[i]->second.run();
           outcomes[i].cost = clock_->Now() - start;
           // The frame never advances: staging time is booked on the
           // background channel below, exactly like the serial pump.
@@ -232,66 +284,20 @@ void PrefetchQueue::IssuePooled(const std::vector<PrefetchKey>& picked) {
   // virtual instant — each Issue rewinds before the next one runs).
   const Micros start = clock_->Now();
   for (size_t i = 0; i < picked.size(); ++i) {
-    issued_->Increment();
-    issue_cost_us_->Record(static_cast<double>(outcomes[i].cost));
-    if (!outcomes[i].verdict.ok()) {
-      errors_->Increment();
-      bg_free_at_ = std::max(bg_free_at_, start) + outcomes[i].cost;
-      entries_.erase(picked[i]);
-      continue;
-    }
-    Entry& entry = entries_.at(picked[i]);
-    entry.ready = true;
-    entry.ready_at = std::max(bg_free_at_, start) + outcomes[i].cost;
-    bg_free_at_ = entry.ready_at;
-    entry.run = nullptr;
+    Book(picked[i], start, outcomes[i].cost, outcomes[i].verdict);
   }
 }
 
 void PrefetchQueue::EvictOverCapacity() {
-  size_t ready = 0;
-  for (const auto& [key, entry] : entries_) {
-    if (entry.ready) ++ready;
-  }
-  while (ready > options_.ready_capacity) {
-    // Pick the victim owner first — whoever holds the most ready bytes
-    // pays for the overflow, so a budget-capped session's staged pages
-    // survive a greedy neighbor's flood. Ties (including the all-bytes-
-    // untracked legacy case, where every owner holds 0) fall back to
-    // the owner of the globally stalest ready entry, which with a
-    // single owner degenerates to the original evict-stalest rule.
-    struct OwnerStat {
-      uint64_t bytes = 0;
-      uint64_t stalest_seq = ~0ull;
-    };
-    std::map<uint64_t, OwnerStat> owners;
-    for (const auto& [key, entry] : entries_) {
-      if (!entry.ready) continue;
-      OwnerStat& stat = owners[key.owner];
-      stat.bytes += entry.bytes;
-      stat.stalest_seq = std::min(stat.stalest_seq, entry.seq);
-    }
-    uint64_t victim_owner = 0;
-    const OwnerStat* best = nullptr;
-    for (const auto& [owner, stat] : owners) {
-      if (best == nullptr || stat.bytes > best->bytes ||
-          (stat.bytes == best->bytes &&
-           stat.stalest_seq < best->stalest_seq)) {
-        victim_owner = owner;
-        best = &stat;
-      }
-    }
-    // Within the victim owner, evict the stalest ready entry.
-    const PrefetchKey* victim = nullptr;
-    for (const auto& [key, entry] : entries_) {
-      if (!entry.ready || key.owner != victim_owner) continue;
-      if (victim == nullptr || entry.seq < entries_.at(*victim).seq) {
-        victim = &key;
-      }
-    }
-    entries_.erase(*victim);
-    wasted_->Increment();
-    --ready;
+  // The victim owner is whoever holds the most ready bytes, so a
+  // budget-capped session's staged pages survive a greedy neighbor's
+  // flood. Ties (including the all-bytes-untracked case, where every
+  // owner holds 0) go to the owner of the globally stalest ready entry,
+  // which with a single owner is plain evict-stalest. The victim entry
+  // is that owner's stalest ready one.
+  while (ready_count() > options_.ready_capacity) {
+    const OwnerIndex& owner = owners_.at(evict_order_.begin()->second);
+    Drop(owner.ready.begin()->second);
   }
 }
 
@@ -303,7 +309,7 @@ bool PrefetchQueue::TakePage(const PrefetchKey& key) {
   }
   if (!it->second.ready) {
     // Queued but never issued: the foreground fetch supersedes it.
-    entries_.erase(it);
+    Erase(it);
     misses_->Increment();
     UpdateDepth();
     return false;
@@ -316,7 +322,7 @@ bool PrefetchQueue::TakePage(const PrefetchKey& key) {
         residual > options_.max_page_wait_us) {
       // The channel is backed up behind other speculation; a foreground
       // transfer is cheaper than waiting. The work was done for nothing.
-      entries_.erase(it);
+      Erase(it);
       wasted_->Increment();
       misses_->Increment();
       UpdateDepth();
@@ -329,7 +335,7 @@ bool PrefetchQueue::TakePage(const PrefetchKey& key) {
     wait_us_->Record(0.0);
     hits_->Increment();
   }
-  entries_.erase(it);
+  Erase(it);
   UpdateDepth();
   return true;
 }
@@ -339,8 +345,8 @@ std::optional<object::MultimediaObject> PrefetchQueue::TakeObject(
   PrefetchKey key{PrefetchKind::kObject, object_id, 0};
   auto it = entries_.find(key);
   std::optional<object::MultimediaObject> payload;
-  if (it != entries_.end() && it->second.ready) {
-    payload = std::move(it->second.object);
+  if (it != entries_.end() && it->second.ready && it->second.object) {
+    payload = std::move(*it->second.object);
   }
   if (!TakePage(key)) return std::nullopt;
   return payload;
@@ -351,18 +357,18 @@ std::optional<MiniatureCard> PrefetchQueue::TakeMiniature(
   PrefetchKey key{PrefetchKind::kMiniature, 0, position};
   auto it = entries_.find(key);
   if (it != entries_.end() && it->second.ready &&
-      it->second.card.has_value() && it->second.card->id != expected_id) {
+      it->second.card != nullptr && it->second.card->id != expected_id) {
     // Staged for another query's strip: the same position now names a
     // different object, and its card must never be delivered here.
-    entries_.erase(it);
+    Erase(it);
     wasted_->Increment();
     misses_->Increment();
     UpdateDepth();
     return std::nullopt;
   }
   std::optional<MiniatureCard> payload;
-  if (it != entries_.end() && it->second.ready) {
-    payload = std::move(it->second.card);
+  if (it != entries_.end() && it->second.ready && it->second.card) {
+    payload = std::move(*it->second.card);
   }
   if (!TakePage(key)) return std::nullopt;
   return payload;
@@ -373,54 +379,65 @@ int PrefetchQueue::KeepRadius(PrefetchKind kind) const {
   return std::max(options_.pages_ahead, options_.pages_behind);
 }
 
-void PrefetchQueue::CancelIf(
-    const std::function<bool(const PrefetchKey&)>& stale) {
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (!stale(it->first)) {
-      ++it;
-      continue;
-    }
-    if (it->second.ready) {
-      wasted_->Increment();
-    } else {
-      cancelled_->Increment();
-    }
-    it = entries_.erase(it);
+void PrefetchQueue::DropRun(PrefetchKind kind, uint64_t object_id,
+                            const std::function<bool(int index)>& stale) {
+  auto it = entries_.lower_bound(
+      PrefetchKey{kind, object_id, std::numeric_limits<int>::min(), 0});
+  while (it != entries_.end() && it->first.kind == kind &&
+         it->first.object_id == object_id) {
+    it = stale(it->first.index) ? Drop(it) : std::next(it);
   }
-  UpdateDepth();
 }
 
 void PrefetchQueue::OnJump(PrefetchKind kind, uint64_t object_id,
                            int new_cursor) {
   const int radius = KeepRadius(kind);
-  CancelIf([&](const PrefetchKey& key) {
-    return key.kind == kind && key.object_id == object_id &&
-           std::abs(key.index - new_cursor) > radius;
+  DropRun(kind, object_id, [&](int index) {
+    return std::abs(index - new_cursor) > radius;
   });
+  UpdateDepth();
 }
 
 void PrefetchQueue::Cancel(PrefetchKind kind) {
-  CancelIf([&](const PrefetchKey& key) { return key.kind == kind; });
+  auto it = entries_.lower_bound(
+      PrefetchKey{kind, 0, std::numeric_limits<int>::min(), 0});
+  while (it != entries_.end() && it->first.kind == kind) it = Drop(it);
+  UpdateDepth();
 }
 
 void PrefetchQueue::CancelObject(uint64_t object_id) {
-  CancelIf([&](const PrefetchKey& key) {
-    return key.kind != PrefetchKind::kMiniature &&
-           key.object_id == object_id;
-  });
+  // Every kind but kMiniature, whose object_id is always 0.
+  for (PrefetchKind kind : {PrefetchKind::kObject, PrefetchKind::kVisualPage,
+                            PrefetchKind::kAudioPage}) {
+    DropRun(kind, object_id, [](int) { return true; });
+  }
+  UpdateDepth();
 }
 
 void PrefetchQueue::CancelAll() {
-  CancelIf([](const PrefetchKey&) { return true; });
+  CancelWhere([](const PrefetchKey&) { return true; });
 }
 
 void PrefetchQueue::CancelOwner(uint64_t owner) {
-  CancelIf([&](const PrefetchKey& key) { return key.owner == owner; });
+  auto found = owners_.find(owner);
+  if (found != owners_.end()) {
+    // Dropping the owner's last entry erases its index: walk a copy.
+    const OwnerIndex& index = found->second;
+    std::vector<EntryRef> doomed;
+    doomed.reserve(index.queued.size() + index.ready.size());
+    for (const auto& [seq, it] : index.queued) doomed.push_back(it);
+    for (const auto& [seq, it] : index.ready) doomed.push_back(it);
+    for (EntryRef it : doomed) Drop(it);
+  }
+  UpdateDepth();
 }
 
 void PrefetchQueue::CancelWhere(
     const std::function<bool(const PrefetchKey&)>& stale) {
-  CancelIf(stale);
+  for (auto it = entries_.begin(); it != entries_.end();) {
+    it = stale(it->first) ? Drop(it) : std::next(it);
+  }
+  UpdateDepth();
 }
 
 BackoffSleeper PrefetchQueue::MakeBackoffSleeper() {
@@ -433,28 +450,15 @@ BackoffSleeper PrefetchQueue::MakeBackoffSleeper() {
   };
 }
 
-size_t PrefetchQueue::queued_count() const {
-  size_t n = 0;
-  for (const auto& [key, entry] : entries_) {
-    if (!entry.ready) ++n;
-  }
-  return n;
-}
+size_t PrefetchQueue::queued_count() const { return pick_order_.size(); }
 
 size_t PrefetchQueue::ready_count() const {
-  size_t n = 0;
-  for (const auto& [key, entry] : entries_) {
-    if (entry.ready) ++n;
-  }
-  return n;
+  return entries_.size() - pick_order_.size();
 }
 
 uint64_t PrefetchQueue::OutstandingBytes(uint64_t owner) const {
-  uint64_t bytes = 0;
-  for (const auto& [key, entry] : entries_) {
-    if (key.owner == owner) bytes += entry.bytes;
-  }
-  return bytes;
+  auto found = owners_.find(owner);
+  return found == owners_.end() ? 0 : found->second.live_bytes;
 }
 
 }  // namespace minos::server

@@ -4,8 +4,11 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "minos/obs/metrics.h"
@@ -96,6 +99,15 @@ struct PrefetchOptions {
 /// still fast-fails prefetches (no point prefetching over a dead link).
 /// Failed entries are dropped — the foreground retry machinery, not the
 /// prefetcher, owns recovery.
+///
+/// ## Cost
+///
+/// The bookkeeping scales with the event, not with the number of live
+/// entries: a pick, an issue, a consume, an eviction and each dropped
+/// entry cost O(log n), a budget read and the counts O(1), and the
+/// canned cancels walk only the entries they drop (plus, for OnJump, the
+/// survivors of its one kind and object). Only CancelWhere and CancelAll
+/// visit every entry.
 ///
 /// Statistics live under "prefetch.*": enqueued, issued, hits,
 /// partial_hits, misses, wasted, cancelled, errors counters; wait_us and
@@ -237,35 +249,90 @@ class PrefetchQueue {
  private:
   struct Entry {
     int distance = 0;
-    uint64_t seq = 0;
+    uint64_t seq = 0;  ///< Enqueue order; unique, smaller is staler.
     bool ready = false;
     Micros ready_at = 0;
     uint64_t affinity_object = 0;  ///< Grouping hint for pooled pumps.
     uint64_t bytes = 0;            ///< Budget charge for key.owner.
     PageWork run;  ///< Null once ready.
-    std::optional<object::MultimediaObject> object;
-    std::optional<MiniatureCard> card;
+    /// Payloads of WantObject / WantMiniature entries, kept out of line
+    /// so page entries (nearly all of them) stay small.
+    std::unique_ptr<object::MultimediaObject> object;
+    std::unique_ptr<MiniatureCard> card;
+  };
+  using EntryMap = std::map<PrefetchKey, Entry>;
+  /// Map iterators stay valid until their own entry is erased, so the
+  /// indexes below point straight at entries.
+  using EntryRef = EntryMap::iterator;
+
+  /// One owner's live entries; exists while the owner holds any.
+  struct OwnerIndex {
+    uint64_t live_bytes = 0;   ///< Queued + ready: OutstandingBytes.
+    uint64_t ready_bytes = 0;  ///< Ready only: the eviction rank.
+    /// Entries by seq, so ready.begin() is the owner's stalest.
+    std::map<uint64_t, EntryRef> queued;
+    std::map<uint64_t, EntryRef> ready;
+  };
+
+  /// Eviction order over owners holding ready entries: most ready bytes
+  /// first, then the owner whose stalest ready entry is globally
+  /// stalest. Seqs are unique, so no two owners tie.
+  struct EvictRank {
+    uint64_t ready_bytes = 0;
+    uint64_t stalest_seq = 0;
+    bool operator<(const EvictRank& other) const {
+      if (ready_bytes != other.ready_bytes) {
+        return ready_bytes > other.ready_bytes;
+      }
+      return stalest_seq < other.stalest_seq;
+    }
   };
 
   /// Radius inside which entries of `kind` survive a jump.
   int KeepRadius(PrefetchKind kind) const;
-
-  /// Drops every entry whose key matches `stale` (queued → cancelled,
-  /// ready → wasted).
-  void CancelIf(const std::function<bool(const PrefetchKey&)>& stale);
 
   /// Shared enqueue path: `affinity_object` is the grouping hint a
   /// pooled pump reads (pages use their own object id).
   void Enqueue(const PrefetchKey& key, int distance, PageWork work,
                uint64_t affinity_object, uint64_t bytes = 0);
 
-  /// Runs one entry's work on the background channel; true when the
-  /// entry became ready.
-  bool Issue(Entry& entry);
+  /// Turns a queued entry ready at `ready_at`.
+  void MarkReady(EntryRef it, Micros ready_at);
+
+  /// Removes an entry from the map and every index; returns the next
+  /// entry. The only removal path, so the indexes never go stale.
+  EntryRef Erase(EntryRef it);
+
+  /// Erase for a steer or an eviction: a queued entry counts cancelled,
+  /// a ready one wasted.
+  EntryRef Drop(EntryRef it);
+
+  /// Drops the entries of `kind` for `object_id` whose index `stale`
+  /// accepts. Keys sort by kind, then object id, so these entries are
+  /// one contiguous run of the map and nothing else is visited.
+  void DropRun(PrefetchKind kind, uint64_t object_id,
+               const std::function<bool(int index)>& stale);
+
+  /// `owner`'s eviction rank; none while it holds no ready entry.
+  static std::optional<EvictRank> RankOf(const OwnerIndex& owner);
+
+  /// Moves owner `id` in the eviction order from rank `before` to its
+  /// current rank, reusing the order's node.
+  void Rerank(uint64_t id, const OwnerIndex& owner,
+              const std::optional<EvictRank>& before);
+
+  /// Runs one picked entry's work on the background channel and books
+  /// the outcome.
+  void Issue(EntryRef it);
 
   /// Stages `picked` (in pick order) as one pool epoch grouped by
   /// affinity, then books costs and outcomes serially in pick order.
-  void IssuePooled(const std::vector<PrefetchKey>& picked);
+  void IssuePooled(const std::vector<EntryRef>& picked);
+
+  /// Books one issued entry on the background channel: ready at
+  /// max(channel free, start) + cost, or erased (counted an error) when
+  /// its work failed — the failed attempt still held the channel.
+  void Book(EntryRef it, Micros start, Micros cost, const Status& verdict);
 
   /// Sheds ready entries down to ready_capacity: victim owner is the
   /// one with the most ready bytes (ties broken toward the globally
@@ -276,7 +343,11 @@ class PrefetchQueue {
   SimClock* clock_;
   std::vector<Link*> links_;  ///< Borrowed; background scopes span all.
   PrefetchOptions options_;
-  std::map<PrefetchKey, Entry> entries_;
+  EntryMap entries_;
+  /// Queued entries in pick order: (distance, seq).
+  std::map<std::pair<int, uint64_t>, EntryRef> pick_order_;
+  std::unordered_map<uint64_t, OwnerIndex> owners_;
+  std::map<EvictRank, uint64_t> evict_order_;  ///< Rank → owner.
   uint64_t next_seq_ = 0;
   Micros bg_free_at_ = 0;  ///< Background channel horizon.
   bool pumping_ = false;   ///< Reentrancy guard.

@@ -275,10 +275,7 @@ void SessionManager::InvalidateObject(storage::ObjectId object) {
   // Appended content re-apportions every page's byte ranges, so staged
   // speculation for the object — whoever owns it — is stale, and every
   // reading session re-delivers against the fresh plan.
-  queue_->CancelWhere([&](const server::PrefetchKey& key) {
-    return key.kind != server::PrefetchKind::kMiniature &&
-           key.object_id == object;
-  });
+  queue_->CancelObject(object);
   for (auto& [id, s] : sessions_) {
     if (s.object == object) {
       s.delivered.clear();

@@ -96,28 +96,50 @@ Status Decoder::GetRaw(size_t n, std::string* value) {
 
 namespace {
 
-struct Crc32Table {
-  uint32_t entries[256];
-  Crc32Table() {
+/// Slicing-by-8 tables: t[0] is the classic bytewise table; t[k][b] is
+/// the CRC contribution of byte b followed by k zero bytes, so eight
+/// input bytes fold into the CRC with eight independent lookups.
+struct Crc32Tables {
+  uint32_t t[8][256];
+  Crc32Tables() {
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      entries[i] = c;
+      t[0][i] = c;
+    }
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (int k = 1; k < 8; ++k) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+      }
     }
   }
 };
 
+/// Little-endian 32-bit load, independent of host byte order.
+uint32_t Load32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 |
+         static_cast<uint32_t>(p[3]) << 24;
+}
+
 }  // namespace
 
 uint32_t Crc32(std::string_view bytes) {
-  static const Crc32Table table;
+  static const Crc32Tables tables;
+  const auto& t = tables.t;
+  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
+  size_t n = bytes.size();
   uint32_t crc = 0xFFFFFFFFu;
-  for (const char ch : bytes) {
-    crc = table.entries[(crc ^ static_cast<unsigned char>(ch)) & 0xFF] ^
-          (crc >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = crc ^ Load32(p);
+    const uint32_t hi = Load32(p + 4);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+          t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
   }
+  for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
   return crc ^ 0xFFFFFFFFu;
 }
 

@@ -153,5 +153,37 @@ TEST(CodingTest, RandomizedVarintRoundTrip) {
   EXPECT_TRUE(dec.empty());
 }
 
+/// Bit-at-a-time CRC-32 (reflected IEEE polynomial): the reference the
+/// table-driven Crc32 must agree with.
+uint32_t BitwiseCrc32(std::string_view bytes) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (const char ch : bytes) {
+    crc ^= static_cast<unsigned char>(ch);
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(CodingTest, Crc32KnownAnswer) {
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(Crc32(""), 0u);
+}
+
+// Every length around the 8-byte blocks, at every alignment of the start.
+TEST(CodingTest, Crc32MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  Random rng(99);
+  std::string buf(300 + 8, '\0');
+  for (char& ch : buf) ch = static_cast<char>(rng.Uniform(256));
+  for (size_t offset = 0; offset <= 8; ++offset) {
+    for (size_t length = 0; length <= 300; ++length) {
+      const std::string_view bytes(buf.data() + offset, length);
+      ASSERT_EQ(Crc32(bytes), BitwiseCrc32(bytes))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace minos

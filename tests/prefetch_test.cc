@@ -8,13 +8,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <functional>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "minos/core/visual_browser.h"
+#include "minos/runtime/task_pool.h"
 #include "minos/server/object_server.h"
 #include "minos/server/workstation.h"
 #include "minos/text/formatter.h"
 #include "minos/text/markup.h"
+#include "minos/util/random.h"
 
 namespace minos::server {
 namespace {
@@ -329,6 +339,407 @@ TEST(PrefetchQueueTest, CancelObjectSparesOtherObjectsAndMiniatures) {
   EXPECT_FALSE(h.queue.TakePage(Page(1, 2)));  // Re-opened: invalidated.
   EXPECT_TRUE(h.queue.TakePage(Page(2, 2)));
   EXPECT_TRUE(h.queue.TakeMiniature(0, 4).has_value());
+}
+
+// --- Differential: the indexed queue against plain scans ----------------
+
+/// The queue's rules written as scans over every entry: the reference
+/// the indexed queue must reproduce step for step — pick order (nearest
+/// distance, then FIFO), the owner-aware eviction victim, per-owner
+/// budgets, the background-channel time model and every counter. Work
+/// is not run; each entry carries the cost and verdict its real work
+/// will produce.
+class ScanModel {
+ public:
+  explicit ScanModel(const PrefetchOptions& options) : options_(options) {}
+
+  void Want(const PrefetchKey& key, int distance, uint64_t bytes,
+            Micros cost, bool fails, uint64_t card_id = 0) {
+    if (entries_.count(key) > 0) return;
+    Entry entry;
+    entry.distance = std::abs(distance);
+    entry.seq = next_seq_++;
+    entry.bytes = bytes;
+    entry.cost = cost;
+    entry.fails = fails;
+    entry.card_id = card_id;
+    entries_.emplace(key, entry);
+    ++counters["enqueued"];
+  }
+
+  void Pump() {
+    std::vector<PrefetchKey> picked;
+    for (int slot = 0; slot < options_.max_inflight_per_pump; ++slot) {
+      const PrefetchKey* pick = nullptr;
+      for (const auto& [key, entry] : entries_) {
+        if (entry.ready ||
+            std::find(picked.begin(), picked.end(), key) != picked.end()) {
+          continue;
+        }
+        if (pick == nullptr) {
+          pick = &key;
+          continue;
+        }
+        const Entry& best = entries_.at(*pick);
+        if (entry.distance < best.distance ||
+            (entry.distance == best.distance && entry.seq < best.seq)) {
+          pick = &key;
+        }
+      }
+      if (pick == nullptr) break;
+      picked.push_back(*pick);
+    }
+    const Micros start = clock.Now();
+    for (const PrefetchKey& key : picked) {
+      Entry& entry = entries_.at(key);
+      work_log.push_back(key);
+      ++counters["issued"];
+      bg_free_at = std::max(bg_free_at, start) + entry.cost;
+      if (entry.fails) {
+        ++counters["errors"];
+        entries_.erase(key);
+        continue;
+      }
+      entry.ready = true;
+      entry.ready_at = bg_free_at;
+    }
+    while (ready_count() > options_.ready_capacity) Evict();
+  }
+
+  bool Take(const PrefetchKey& key) {
+    auto it = entries_.find(key);
+    if (it == entries_.end()) {
+      ++counters["misses"];
+      return false;
+    }
+    if (!it->second.ready) {
+      entries_.erase(it);
+      ++counters["misses"];
+      return false;
+    }
+    const Micros now = clock.Now();
+    if (it->second.ready_at > now) {
+      const Micros residual = it->second.ready_at - now;
+      if (key.kind != PrefetchKind::kObject &&
+          residual > options_.max_page_wait_us) {
+        entries_.erase(it);
+        ++counters["wasted"];
+        ++counters["misses"];
+        return false;
+      }
+      clock.Advance(residual);
+      ++counters["partial_hits"];
+    } else {
+      ++counters["hits"];
+    }
+    entries_.erase(it);
+    return true;
+  }
+
+  /// The card id a TakeMiniature delivers, if any.
+  std::optional<uint64_t> TakeMiniature(int position, uint64_t expected_id) {
+    const PrefetchKey key{PrefetchKind::kMiniature, 0, position};
+    auto it = entries_.find(key);
+    std::optional<uint64_t> card;
+    if (it != entries_.end() && it->second.ready) {
+      if (it->second.card_id != expected_id) {
+        entries_.erase(it);
+        ++counters["wasted"];
+        ++counters["misses"];
+        return std::nullopt;
+      }
+      card = it->second.card_id;
+    }
+    if (!Take(key)) return std::nullopt;
+    return card;
+  }
+
+  void DropIf(const std::function<bool(const PrefetchKey&)>& stale) {
+    for (auto it = entries_.begin(); it != entries_.end();) {
+      if (!stale(it->first)) {
+        ++it;
+        continue;
+      }
+      ++counters[it->second.ready ? "wasted" : "cancelled"];
+      it = entries_.erase(it);
+    }
+  }
+
+  void OnJump(PrefetchKind kind, uint64_t object_id, int cursor) {
+    const int radius = kind == PrefetchKind::kMiniature
+                           ? options_.miniature_radius
+                           : std::max(options_.pages_ahead,
+                                      options_.pages_behind);
+    DropIf([&](const PrefetchKey& key) {
+      return key.kind == kind && key.object_id == object_id &&
+             std::abs(key.index - cursor) > radius;
+    });
+  }
+
+  size_t queued_count() const { return entries_.size() - ready_count(); }
+  size_t ready_count() const {
+    size_t n = 0;
+    for (const auto& [key, entry] : entries_) n += entry.ready ? 1 : 0;
+    return n;
+  }
+  size_t size() const { return entries_.size(); }
+  uint64_t OutstandingBytes(uint64_t owner) const {
+    uint64_t bytes = 0;
+    for (const auto& [key, entry] : entries_) {
+      if (key.owner == owner) bytes += entry.bytes;
+    }
+    return bytes;
+  }
+
+  SimClock clock;
+  Micros bg_free_at = 0;
+  std::map<std::string, int64_t> counters;
+  std::vector<PrefetchKey> work_log;  ///< Keys in issue order.
+
+ private:
+  struct Entry {
+    int distance = 0;
+    uint64_t seq = 0;
+    bool ready = false;
+    Micros ready_at = 0;
+    uint64_t bytes = 0;
+    Micros cost = 0;
+    bool fails = false;
+    uint64_t card_id = 0;
+  };
+
+  /// The owner with the most ready bytes (ties: the owner of the
+  /// globally stalest ready entry) loses its stalest ready entry.
+  void Evict() {
+    struct OwnerStat {
+      uint64_t bytes = 0;
+      uint64_t stalest_seq = ~0ull;
+    };
+    std::map<uint64_t, OwnerStat> owners;
+    for (const auto& [key, entry] : entries_) {
+      if (!entry.ready) continue;
+      OwnerStat& stat = owners[key.owner];
+      stat.bytes += entry.bytes;
+      stat.stalest_seq = std::min(stat.stalest_seq, entry.seq);
+    }
+    uint64_t victim_owner = 0;
+    const OwnerStat* best = nullptr;
+    for (const auto& [owner, stat] : owners) {
+      if (best == nullptr || stat.bytes > best->bytes ||
+          (stat.bytes == best->bytes &&
+           stat.stalest_seq < best->stalest_seq)) {
+        victim_owner = owner;
+        best = &stat;
+      }
+    }
+    auto victim = entries_.end();
+    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+      if (!it->second.ready || it->first.owner != victim_owner) continue;
+      if (victim == entries_.end() || it->second.seq < victim->second.seq) {
+        victim = it;
+      }
+    }
+    entries_.erase(victim);
+    ++counters["wasted"];
+  }
+
+  PrefetchOptions options_;
+  std::map<PrefetchKey, Entry> entries_;
+  uint64_t next_seq_ = 0;
+};
+
+/// Drives the queue and the scan model through one seeded random
+/// sequence of wants, takes, pumps, jumps and cancels — six owners,
+/// budget charges that tie (equal and zero bytes), equal distances and
+/// costs, failing work, and a ready capacity small enough that most
+/// pumps evict across owners — and checks after every step that both
+/// agree on work order, take results, per-owner outstanding bytes, the
+/// counts, the clock, the channel horizon and every prefetch.* counter.
+/// With a pool the picks stage concurrently, so only the multiset of
+/// issued work is compared.
+void RunDifferential(uint64_t seed, int workers) {
+  PrefetchOptions options;
+  options.pages_ahead = 2;
+  options.pages_behind = 1;
+  options.miniature_radius = 1;
+  options.max_inflight_per_pump = 3;
+  options.ready_capacity = 4;
+  options.max_page_wait_us = MillisToMicros(12);
+  QueueHarness h(options);
+  std::unique_ptr<runtime::TaskPool> pool;
+  if (workers > 0) {
+    pool = std::make_unique<runtime::TaskPool>(&h.clock, workers);
+    h.queue.SetTaskPool(pool.get(),
+                        [](uint64_t object) { return object % 3; });
+  }
+  ScanModel model(options);
+  Random rng(seed);
+  std::mutex log_mu;
+  std::vector<PrefetchKey> log;
+
+  auto run = [&h, &log_mu, &log](PrefetchKey key, Micros cost, bool fails) {
+    h.clock.Advance(cost);
+    std::lock_guard<std::mutex> lock(log_mu);
+    log.push_back(key);
+    return fails ? Status::Unavailable("injected") : Status::OK();
+  };
+  constexpr uint64_t kOwners = 6;
+  auto page_key = [&rng] {
+    const PrefetchKind kind = rng.Bernoulli(0.8) ? PrefetchKind::kVisualPage
+                                                 : PrefetchKind::kAudioPage;
+    const uint64_t object_id = 1 + rng.Uniform(4);
+    const int index = 1 + static_cast<int>(rng.Uniform(10));
+    return PrefetchKey{kind, object_id, index, rng.Uniform(kOwners)};
+  };
+  auto distance = [&rng] { return static_cast<int>(rng.UniformRange(-3, 3)); };
+  auto cost = [&rng] {
+    return MillisToMicros(3) * static_cast<Micros>(rng.Uniform(4));
+  };
+  constexpr uint64_t kBytes[] = {0, 100, 100, 250};
+
+  for (int step = 0; step < 400; ++step) {
+    const uint64_t op = rng.Uniform(100);
+    SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                 std::to_string(step) + " op " + std::to_string(op));
+    if (op < 40) {
+      // A want of each kind; the model learns the work's cost and verdict.
+      const int d = distance();
+      const Micros c = cost();
+      const bool fails = rng.Bernoulli(0.1);
+      if (op < 30) {
+        const PrefetchKey key = page_key();
+        const uint64_t bytes = kBytes[rng.Uniform(4)];
+        PrefetchQueue::PageWork work = [&run, key, c, fails] {
+          return run(key, c, fails);
+        };
+        h.queue.WantPage(key, d, std::move(work), bytes);
+        model.Want(key, d, bytes, c, fails);
+      } else if (op < 35) {
+        const uint64_t id = 1 + rng.Uniform(4);
+        const PrefetchKey key{PrefetchKind::kObject, id, 0};
+        PrefetchQueue::ObjectWork work =
+            [&run, key, c, fails, id]() -> StatusOr<MultimediaObject> {
+          MINOS_RETURN_IF_ERROR(run(key, c, fails));
+          return MultimediaObject(id);
+        };
+        h.queue.WantObject(id, d, std::move(work));
+        model.Want(key, d, 0, c, fails);
+      } else {
+        const int position = static_cast<int>(rng.Uniform(5));
+        const PrefetchKey key{PrefetchKind::kMiniature, 0, position};
+        const uint64_t card_id = 1 + rng.Uniform(4);
+        PrefetchQueue::CardWork work =
+            [&run, key, c, fails, card_id]() -> StatusOr<MiniatureCard> {
+          MINOS_RETURN_IF_ERROR(run(key, c, fails));
+          MiniatureCard card;
+          card.id = card_id;
+          return card;
+        };
+        h.queue.WantMiniature(position, d, std::move(work), card_id);
+        model.Want(key, d, 0, c, fails, card_id);
+      }
+    } else if (op < 52) {
+      const Micros advance =
+          MillisToMicros(4) * static_cast<Micros>(rng.Uniform(5));
+      h.clock.Advance(advance);
+      model.clock.Advance(advance);
+    } else if (op < 66) {
+      const PrefetchKey key = page_key();
+      ASSERT_EQ(h.queue.TakePage(key), model.Take(key));
+    } else if (op < 70) {
+      const uint64_t id = 1 + rng.Uniform(4);
+      const std::optional<MultimediaObject> got = h.queue.TakeObject(id);
+      ASSERT_EQ(got.has_value(),
+                model.Take(PrefetchKey{PrefetchKind::kObject, id, 0}));
+      if (got.has_value()) {
+        EXPECT_EQ(got->id(), id);
+      }
+    } else if (op < 74) {
+      const int position = static_cast<int>(rng.Uniform(5));
+      const uint64_t expected = 1 + rng.Uniform(4);
+      const std::optional<MiniatureCard> got =
+          h.queue.TakeMiniature(position, expected);
+      const std::optional<uint64_t> want =
+          model.TakeMiniature(position, expected);
+      ASSERT_EQ(got.has_value(), want.has_value());
+      if (got.has_value()) {
+        EXPECT_EQ(got->id, *want);
+      }
+    } else if (op < 88) {
+      h.queue.Pump();
+      model.Pump();
+    } else if (op < 92) {
+      const auto kind = static_cast<PrefetchKind>(rng.Uniform(4));
+      const uint64_t id =
+          kind == PrefetchKind::kMiniature ? 0 : 1 + rng.Uniform(4);
+      const int cursor = 1 + static_cast<int>(rng.Uniform(10));
+      h.queue.OnJump(kind, id, cursor);
+      model.OnJump(kind, id, cursor);
+    } else if (op < 94) {
+      const auto kind = static_cast<PrefetchKind>(rng.Uniform(4));
+      h.queue.Cancel(kind);
+      model.DropIf(
+          [kind](const PrefetchKey& key) { return key.kind == kind; });
+    } else if (op < 96) {
+      const uint64_t id = 1 + rng.Uniform(4);
+      h.queue.CancelObject(id);
+      model.DropIf([id](const PrefetchKey& key) {
+        return key.kind != PrefetchKind::kMiniature && key.object_id == id;
+      });
+    } else if (op < 98) {
+      const uint64_t owner = rng.Uniform(kOwners);
+      h.queue.CancelOwner(owner);
+      model.DropIf(
+          [owner](const PrefetchKey& key) { return key.owner == owner; });
+    } else if (op < 99) {
+      auto odd = [](const PrefetchKey& key) { return key.index % 2 == 1; };
+      h.queue.CancelWhere(odd);
+      model.DropIf(odd);
+    } else {
+      h.queue.CancelAll();
+      model.DropIf([](const PrefetchKey&) { return true; });
+    }
+
+    ASSERT_EQ(h.clock.Now(), model.clock.Now());
+    ASSERT_EQ(h.queue.background_free_at(), model.bg_free_at);
+    ASSERT_EQ(h.queue.queued_count(), model.queued_count());
+    ASSERT_EQ(h.queue.ready_count(), model.ready_count());
+    ASSERT_EQ(h.registry.gauge("prefetch.queue_depth")->value(),
+              static_cast<double>(model.size()));
+    for (uint64_t owner = 0; owner < kOwners; ++owner) {
+      ASSERT_EQ(h.queue.OutstandingBytes(owner),
+                model.OutstandingBytes(owner))
+          << "owner " << owner;
+    }
+    for (const char* name : {"enqueued", "issued", "hits", "partial_hits",
+                             "misses", "wasted", "cancelled", "errors"}) {
+      ASSERT_EQ(h.Count(name), model.counters[name]) << name;
+    }
+    std::vector<PrefetchKey> issued = log;
+    std::vector<PrefetchKey> expected = model.work_log;
+    if (pool != nullptr) {
+      std::sort(issued.begin(), issued.end());
+      std::sort(expected.begin(), expected.end());
+    }
+    ASSERT_EQ(issued, expected);
+  }
+  // The run must have exercised what it claims to compare.
+  EXPECT_GT(h.Count("issued"), 0);
+  EXPECT_GT(h.Count("wasted"), 0);
+}
+
+TEST(PrefetchDifferentialTest, IndexedQueueMatchesScanRules) {
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    RunDifferential(seed, /*workers=*/0);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(PrefetchDifferentialTest, PooledPumpMatchesScanRules) {
+  for (uint64_t seed = 101; seed <= 120; ++seed) {
+    RunDifferential(seed, /*workers=*/2);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 // --- Fault posture: the breaker belongs to the foreground ---------------

@@ -7,10 +7,16 @@
 #include "minos/runtime/task_pool.h"
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -198,6 +204,43 @@ TEST(TaskPoolTest, StealHeavyStress) {
     }
   }
   EXPECT_EQ(total.load(), expected);
+}
+
+// Back-to-back tiny epochs race each worker's exit from a finished epoch
+// against the submitter queuing the next one. A worker that claimed an
+// index of the new epoch while still bound to the old one would run it
+// against the old task vector and never count the new epoch down, so
+// RunEpoch would wait forever: the watchdog turns that hang into a
+// failure instead of a stuck test binary.
+TEST(TaskPoolTest, BackToBackEpochsNeverClaimAcrossGenerations) {
+  constexpr int kEpochs = 100000;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool finished = false;
+  std::thread watchdog([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    if (!cv.wait_for(lock, std::chrono::minutes(2),
+                     [&] { return finished; })) {
+      std::fprintf(stderr, "RunEpoch hung: a task crossed epochs\n");
+      std::abort();
+    }
+  });
+  SimClock clock;
+  TaskPool pool(&clock, 2);
+  std::atomic<uint64_t> ran{0};
+  for (int epoch = 0; epoch < kEpochs; ++epoch) {
+    std::vector<TaskPool::Task> tasks(
+        3, [&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+    pool.RunEpoch(std::move(tasks));
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    finished = true;
+  }
+  cv.notify_one();
+  watchdog.join();
+  EXPECT_EQ(ran.load(), 3u * kEpochs);
+  EXPECT_EQ(pool.tasks_run(), 3u * kEpochs);
 }
 
 TEST(TaskPoolTest, LowestIndexExceptionPropagatesAndPoolSurvives) {
