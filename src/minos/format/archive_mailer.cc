@@ -1,5 +1,8 @@
 #include "minos/format/archive_mailer.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "minos/object/part_codec.h"
 #include "minos/storage/composition_file.h"
 #include "minos/util/coding.h"
@@ -86,22 +89,24 @@ StatusOr<std::string> ArchiveMailer::MailInside(storage::ObjectId id) {
 
 StatusOr<std::string> ArchiveMailer::MailOutside(storage::ObjectId id) {
   MINOS_ASSIGN_OR_RETURN(std::string bytes, MailInside(id));
-  return ResolvePointers(bytes);
+  return ResolvePointers(std::move(bytes));
 }
 
-StatusOr<std::string> ArchiveMailer::ResolvePointers(
-    std::string_view bytes) {
+StatusOr<std::string> ArchiveMailer::ResolvePointers(std::string bytes) {
   Decoder dec(bytes);
-  std::string desc_bytes;
+  std::string_view desc_bytes;
   MINOS_RETURN_IF_ERROR(dec.GetLengthPrefixed(&desc_bytes));
   MINOS_ASSIGN_OR_RETURN(ObjectDescriptor desc,
                          ObjectDescriptor::Deserialize(desc_bytes));
-  std::string comp_bytes;
+  std::string_view comp_bytes;
   MINOS_RETURN_IF_ERROR(dec.GetRaw(dec.remaining(), &comp_bytes));
+  if (std::none_of(desc.parts.begin(), desc.parts.end(),
+                   [](const PartPointer& p) { return p.in_archiver; })) {
+    MINOS_RETURN_IF_ERROR(CompositionFile::Parse(comp_bytes).status());
+    return bytes;
+  }
   MINOS_ASSIGN_OR_RETURN(CompositionFile comp,
                          CompositionFile::Deserialize(comp_bytes));
-
-  bool changed = false;
   for (PartPointer& p : desc.parts) {
     if (!p.in_archiver) continue;
     std::string payload;
@@ -109,9 +114,7 @@ StatusOr<std::string> ArchiveMailer::ResolvePointers(
         archiver_->ReadRange(p.offset, p.length, &payload));
     p.offset = comp.AppendPart(p.name, p.type, payload);
     p.in_archiver = false;
-    changed = true;
   }
-  if (!changed) return std::string(bytes);
   std::string out;
   PutLengthPrefixed(&out, desc.Serialize());
   out += comp.Serialize();
@@ -121,7 +124,8 @@ StatusOr<std::string> ArchiveMailer::ResolvePointers(
 StatusOr<MultimediaObject> ArchiveMailer::FetchObject(
     storage::ObjectId id) {
   MINOS_ASSIGN_OR_RETURN(std::string bytes, MailInside(id));
-  MINOS_ASSIGN_OR_RETURN(std::string resolved, ResolvePointers(bytes));
+  MINOS_ASSIGN_OR_RETURN(std::string resolved,
+                         ResolvePointers(std::move(bytes)));
   return MultimediaObject::DeserializeArchived(id, resolved);
 }
 

@@ -56,8 +56,10 @@ class ArchiveMailer {
   StatusOr<std::string> MailOutside(storage::ObjectId id);
 
   /// Resolves archiver pointers in `bytes` (the MailOutside core, exposed
-  /// for objects not yet versioned).
-  StatusOr<std::string> ResolvePointers(std::string_view bytes);
+  /// for objects not yet versioned). Self-contained bytes come back
+  /// as they went in, moved rather than copied, once their catalog
+  /// validates.
+  StatusOr<std::string> ResolvePointers(std::string bytes);
 
   /// Fetches and decodes the current version of an object, resolving any
   /// archiver pointers on the way (the server-side read path).

@@ -44,10 +44,12 @@ void Bitmap::Fill(uint8_t ink) {
 
 void Bitmap::FillRect(const Rect& r, uint8_t ink) {
   const Rect c = r.Intersect(Rect{0, 0, width_, height_});
+  // Clipped once, so each row is one contiguous fill. A byte store may
+  // alias any member, so index through hoisted locals, not width_.
+  uint8_t* const pixels = pixels_.data();
+  const size_t stride = static_cast<size_t>(width_);
   for (int y = c.y; y < c.y + c.h; ++y) {
-    for (int x = c.x; x < c.x + c.w; ++x) {
-      pixels_[static_cast<size_t>(y) * width_ + x] = ink;
-    }
+    std::fill_n(pixels + y * stride + c.x, c.w, ink);
   }
 }
 

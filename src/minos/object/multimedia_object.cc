@@ -211,15 +211,16 @@ StatusOr<MultimediaObject> MultimediaObject::DeserializeArchivedLenient(
 StatusOr<MultimediaObject> MultimediaObject::DeserializeArchivedImpl(
     storage::ObjectId id, std::string_view bytes,
     PartSalvageReport* report) {
+  // Every part decodes from a view into `bytes`; none outlives this call.
   Decoder dec(bytes);
-  std::string desc_bytes;
+  std::string_view desc_bytes;
   MINOS_RETURN_IF_ERROR(dec.GetLengthPrefixed(&desc_bytes));
   MINOS_ASSIGN_OR_RETURN(ObjectDescriptor desc,
                          ObjectDescriptor::Deserialize(desc_bytes));
-  std::string comp_bytes;
+  std::string_view comp_bytes;
   MINOS_RETURN_IF_ERROR(dec.GetRaw(dec.remaining(), &comp_bytes));
-  MINOS_ASSIGN_OR_RETURN(CompositionFile comp,
-                         CompositionFile::Deserialize(comp_bytes));
+  MINOS_ASSIGN_OR_RETURN(CompositionFile::View comp,
+                         CompositionFile::Parse(comp_bytes));
 
   MultimediaObject obj(id);
   for (const PartPointer& p : desc.parts) {
@@ -229,8 +230,9 @@ StatusOr<MultimediaObject> MultimediaObject::DeserializeArchivedImpl(
       return Status::FailedPrecondition(
           "object still has archiver pointers; resolve before decoding");
     }
-    std::string payload;
-    MINOS_RETURN_IF_ERROR(comp.ReadRange(p.offset, p.length, &payload));
+    MINOS_ASSIGN_OR_RETURN(
+        std::string_view payload,
+        CompositionFile::Slice(comp.payload, p.offset, p.length));
     switch (p.type) {
       case DataType::kAttributes: {
         StatusOr<AttributeMap> attrs = DecodeAttributes(payload);

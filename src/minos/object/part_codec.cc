@@ -68,7 +68,7 @@ StatusOr<text::Document> DecodeDocument(std::string_view bytes) {
   MINOS_RETURN_IF_ERROR(CheckAndStripPartCrc(&bytes));
   Decoder dec(bytes);
   text::Document doc;
-  std::string contents;
+  std::string_view contents;
   MINOS_RETURN_IF_ERROR(dec.GetLengthPrefixed(&contents));
   doc.AppendText(contents);
   for (int u = 0; u < kUnitCount; ++u) {
@@ -91,7 +91,7 @@ StatusOr<text::Document> DecodeDocument(std::string_view bytes) {
   for (uint64_t i = 0; i < ne; ++i) {
     text::EmphasisSpan e;
     MINOS_RETURN_IF_ERROR(GetSpan(&dec, &e.span.begin, &e.span.end));
-    std::string b;
+    std::string_view b;
     MINOS_RETURN_IF_ERROR(dec.GetRaw(1, &b));
     e.kind = static_cast<text::Emphasis>(static_cast<uint8_t>(b[0]));
     doc.AddEmphasis(e);
@@ -104,9 +104,12 @@ std::string EncodeVoiceDocument(const voice::VoiceDocument& doc) {
   const voice::PcmBuffer& pcm = doc.pcm();
   PutVarint32(&out, static_cast<uint32_t>(pcm.sample_rate()));
   PutVarint64(&out, pcm.size());
+  const size_t pcm_at = out.size();
+  out.resize(pcm_at + 2 * pcm.size());
+  char* dst = out.data() + pcm_at;
   for (int16_t s : pcm.samples()) {
-    out.push_back(static_cast<char>(s & 0xFF));
-    out.push_back(static_cast<char>((s >> 8) & 0xFF));
+    *dst++ = static_cast<char>(s & 0xFF);
+    *dst++ = static_cast<char>((s >> 8) & 0xFF);
   }
   const voice::VoiceTrack& track = doc.track();
   PutVarint64(&out, track.words.size());
@@ -141,15 +144,16 @@ StatusOr<voice::VoiceDocument> DecodeVoiceDocument(std::string_view bytes) {
   MINOS_RETURN_IF_ERROR(dec.GetVarint32(&rate));
   MINOS_RETURN_IF_ERROR(dec.GetVarint64(&nsamples));
   if (rate == 0) return Status::Corruption("zero sample rate");
-  voice::VoiceTrack track;
-  track.pcm = voice::PcmBuffer(static_cast<int>(rate));
-  std::string raw;
+  std::string_view raw;
   MINOS_RETURN_IF_ERROR(dec.GetRaw(static_cast<size_t>(nsamples) * 2, &raw));
-  for (size_t i = 0; i < raw.size(); i += 2) {
-    const uint16_t lo = static_cast<uint8_t>(raw[i]);
-    const uint16_t hi = static_cast<uint8_t>(raw[i + 1]);
-    track.pcm.Push(static_cast<int16_t>(lo | (hi << 8)));
+  std::vector<int16_t> samples(raw.size() / 2);
+  for (size_t i = 0; i < samples.size(); ++i) {
+    const uint16_t lo = static_cast<uint8_t>(raw[2 * i]);
+    const uint16_t hi = static_cast<uint8_t>(raw[2 * i + 1]);
+    samples[i] = static_cast<int16_t>(lo | (hi << 8));
   }
+  voice::VoiceTrack track;
+  track.pcm = voice::PcmBuffer(static_cast<int>(rate), std::move(samples));
   uint64_t n = 0;
   MINOS_RETURN_IF_ERROR(dec.GetVarint64(&n));
   for (uint64_t i = 0; i < n; ++i) {
@@ -166,7 +170,7 @@ StatusOr<voice::VoiceDocument> DecodeVoiceDocument(std::string_view bytes) {
   for (uint64_t i = 0; i < n; ++i) {
     voice::SilenceTruth s;
     MINOS_RETURN_IF_ERROR(GetSpan(&dec, &s.samples.begin, &s.samples.end));
-    std::string b;
+    std::string_view b;
     MINOS_RETURN_IF_ERROR(dec.GetRaw(1, &b));
     s.level = static_cast<int>(b[0]);
     track.silences.push_back(s);

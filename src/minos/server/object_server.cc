@@ -309,7 +309,7 @@ StatusOr<std::string> ObjectServer::ReadObjectBytes(ObjectId id) const {
                               "to serve it as a repair source");
   }
   format::ArchiveMailer mailer(archiver_, versions_, clock_);
-  return mailer.ResolvePointers(bytes);
+  return mailer.ResolvePointers(std::move(bytes));
 }
 
 std::vector<ObjectId> ObjectServer::Query(std::string_view word) const {
@@ -433,7 +433,7 @@ StatusOr<std::string> ObjectServer::ReadAndDeliver(
   MINOS_RETURN_IF_ERROR(archiver_->Read(address, &bytes));
   format::ArchiveMailer mailer(archiver_, versions_, clock_);
   MINOS_ASSIGN_OR_RETURN(std::string resolved,
-                         mailer.ResolvePointers(bytes));
+                         mailer.ResolvePointers(std::move(bytes)));
   if (over_link && link_ != nullptr) {
     uint64_t charge = resolved.size();
     charge -= std::min<uint64_t>(transfer_discount, charge);

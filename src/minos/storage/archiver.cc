@@ -12,16 +12,23 @@ StatusOr<ArchiveAddress> Archiver::Append(std::string_view bytes) {
   ArchiveAddress addr{size_, bytes.size()};
   tail_.append(bytes);
   size_ += bytes.size();
-  // Write out every full block accumulated in the tail.
-  while (tail_.size() >= bs) {
-    MINOS_RETURN_IF_ERROR(device_->Write(
-        flushed_blocks_, std::string_view(tail_).substr(0, bs)));
-    if (cache_ != nullptr) {
-      cache_->Insert(flushed_blocks_, tail_.substr(0, bs));
-    }
-    tail_.erase(0, bs);
+  // Write out every full block accumulated in the tail, then drop the
+  // written prefix with one erase: erasing block by block would move the
+  // rest of the tail each time, quadratic in the append's size. A failed
+  // write leaves the unwritten rest in the tail.
+  size_t written = 0;
+  Status status;
+  while (tail_.size() - written >= bs) {
+    const std::string_view block =
+        std::string_view(tail_).substr(written, bs);
+    status = device_->Write(flushed_blocks_, block);
+    if (!status.ok()) break;
+    if (cache_ != nullptr) cache_->Insert(flushed_blocks_, std::string(block));
+    written += bs;
     ++flushed_blocks_;
   }
+  tail_.erase(0, written);
+  MINOS_RETURN_IF_ERROR(status);
   return addr;
 }
 
@@ -85,9 +92,10 @@ Status Archiver::ReadRangeImpl(uint64_t offset, uint64_t length,
                                std::string* out, bool use_cache) const {
   out->clear();
   if (length == 0) return Status::OK();
-  if (offset + length > size_) {
+  if (offset > size_ || length > size_ - offset) {
     return Status::OutOfRange("archiver read past end");
   }
+  out->reserve(length);
   const uint32_t bs = device_->block_size();
   const uint64_t first = offset / bs;
   const uint64_t last = (offset + length - 1) / bs;

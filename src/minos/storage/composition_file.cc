@@ -1,5 +1,7 @@
 #include "minos/storage/composition_file.h"
 
+#include <algorithm>
+
 #include "minos/util/coding.h"
 
 namespace minos::storage {
@@ -49,11 +51,19 @@ Status CompositionFile::ReadPart(const Part& part, std::string* out) const {
 
 Status CompositionFile::ReadRange(uint64_t offset, uint64_t length,
                                   std::string* out) const {
-  if (offset + length > data_.size()) {
+  MINOS_ASSIGN_OR_RETURN(std::string_view range,
+                         Slice(data_, offset, length));
+  out->assign(range);
+  return Status::OK();
+}
+
+StatusOr<std::string_view> CompositionFile::Slice(std::string_view payload,
+                                                  uint64_t offset,
+                                                  uint64_t length) {
+  if (offset > payload.size() || length > payload.size() - offset) {
     return Status::OutOfRange("composition file range past end");
   }
-  out->assign(data_, offset, length);
-  return Status::OK();
+  return payload.substr(offset, length);
 }
 
 std::string CompositionFile::Serialize() const {
@@ -71,15 +81,26 @@ std::string CompositionFile::Serialize() const {
 
 StatusOr<CompositionFile> CompositionFile::Deserialize(
     std::string_view bytes) {
+  MINOS_ASSIGN_OR_RETURN(View view, Parse(bytes));
+  CompositionFile cf;
+  cf.parts_ = std::move(view.parts);
+  cf.data_.assign(view.payload);
+  return cf;
+}
+
+StatusOr<CompositionFile::View> CompositionFile::Parse(
+    std::string_view bytes) {
   Decoder dec(bytes);
   uint64_t n = 0;
   MINOS_RETURN_IF_ERROR(dec.GetVarint64(&n));
-  CompositionFile cf;
-  cf.parts_.reserve(n);
+  View view;
+  // Every catalog entry takes at least four bytes, so a forged count
+  // cannot reserve more than the input could hold.
+  view.parts.reserve(std::min<uint64_t>(n, dec.remaining() / 4));
   for (uint64_t i = 0; i < n; ++i) {
     Part p;
     MINOS_RETURN_IF_ERROR(dec.GetLengthPrefixed(&p.name));
-    std::string type_byte;
+    std::string_view type_byte;
     MINOS_RETURN_IF_ERROR(dec.GetRaw(1, &type_byte));
     const auto raw = static_cast<uint8_t>(type_byte[0]);
     if (raw > static_cast<uint8_t>(DataType::kOther)) {
@@ -88,15 +109,15 @@ StatusOr<CompositionFile> CompositionFile::Deserialize(
     p.type = static_cast<DataType>(raw);
     MINOS_RETURN_IF_ERROR(dec.GetVarint64(&p.offset));
     MINOS_RETURN_IF_ERROR(dec.GetVarint64(&p.length));
-    cf.parts_.push_back(std::move(p));
+    view.parts.push_back(std::move(p));
   }
-  MINOS_RETURN_IF_ERROR(dec.GetLengthPrefixed(&cf.data_));
-  for (const Part& p : cf.parts_) {
-    if (p.offset + p.length > cf.data_.size()) {
+  MINOS_RETURN_IF_ERROR(dec.GetLengthPrefixed(&view.payload));
+  for (const Part& p : view.parts) {
+    if (!Slice(view.payload, p.offset, p.length).ok()) {
       return Status::Corruption("composition part out of bounds");
     }
   }
-  return cf;
+  return view;
 }
 
 }  // namespace minos::storage

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "minos/util/status.h"
@@ -71,6 +72,22 @@ class CompositionFile {
 
   /// Parses a byte string produced by Serialize().
   static StatusOr<CompositionFile> Deserialize(std::string_view bytes);
+
+  /// A composition file parsed in place: its catalog plus a view of the
+  /// payload inside the parsed bytes, valid only as long as they are.
+  struct View {
+    std::vector<Part> parts;
+    std::string_view payload;
+  };
+
+  /// Parses Serialize() bytes without copying the payload. Corruption on
+  /// a truncated or malformed catalog or a part outside the payload.
+  static StatusOr<View> Parse(std::string_view bytes);
+
+  /// The `length` bytes at `offset` of `payload`; OutOfRange when they
+  /// run past its end (checked without wrapping near 2^64).
+  static StatusOr<std::string_view> Slice(std::string_view payload,
+                                          uint64_t offset, uint64_t length);
 
   /// The raw concatenated payload (used when rebasing into the archiver).
   const std::string& raw_data() const { return data_; }

@@ -81,16 +81,30 @@ Status Decoder::GetVarint64(uint64_t* value) {
   return Status::Corruption("varint too long");
 }
 
-Status Decoder::GetLengthPrefixed(std::string* value) {
+Status Decoder::GetLengthPrefixed(std::string_view* value) {
   uint64_t len = 0;
   MINOS_RETURN_IF_ERROR(GetVarint64(&len));
   return GetRaw(static_cast<size_t>(len), value);
 }
 
-Status Decoder::GetRaw(size_t n, std::string* value) {
+Status Decoder::GetLengthPrefixed(std::string* value) {
+  std::string_view view;
+  MINOS_RETURN_IF_ERROR(GetLengthPrefixed(&view));
+  value->assign(view);
+  return Status::OK();
+}
+
+Status Decoder::GetRaw(size_t n, std::string_view* value) {
   if (data_.size() < n) return Status::Corruption("truncated raw bytes");
-  value->assign(data_.data(), n);
+  *value = data_.substr(0, n);
   data_.remove_prefix(n);
+  return Status::OK();
+}
+
+Status Decoder::GetRaw(size_t n, std::string* value) {
+  std::string_view view;
+  MINOS_RETURN_IF_ERROR(GetRaw(n, &view));
+  value->assign(view);
   return Status::OK();
 }
 

@@ -52,10 +52,17 @@ class Decoder {
   Status GetVarint32(uint32_t* value);
   Status GetVarint64(uint64_t* value);
 
+  /// Reads a length-prefixed string as a view into the input (no copy;
+  /// valid only as long as the decoded bytes are).
+  Status GetLengthPrefixed(std::string_view* value);
+
   /// Reads a length-prefixed string into `value` (copies the bytes).
   Status GetLengthPrefixed(std::string* value);
 
-  /// Reads exactly `n` raw bytes.
+  /// Reads exactly `n` raw bytes as a view into the input (no copy).
+  Status GetRaw(size_t n, std::string_view* value);
+
+  /// Reads exactly `n` raw bytes into `value` (copies them).
   Status GetRaw(size_t n, std::string* value);
 
  private:

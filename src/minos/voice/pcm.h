@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "minos/util/clock.h"
@@ -29,6 +30,10 @@ class PcmBuffer {
  public:
   /// Creates an empty buffer at `sample_rate` Hz (must be > 0).
   explicit PcmBuffer(int sample_rate = 8000) : sample_rate_(sample_rate) {}
+
+  /// Creates a buffer at `sample_rate` Hz holding `samples`.
+  PcmBuffer(int sample_rate, std::vector<int16_t> samples)
+      : sample_rate_(sample_rate), samples_(std::move(samples)) {}
 
   /// Appends samples.
   void Append(const std::vector<int16_t>& samples);

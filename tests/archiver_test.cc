@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace minos::storage {
 namespace {
 
@@ -71,6 +73,8 @@ TEST_F(ArchiverTest, ReadPastEndRejected) {
   archiver_.Append("short");
   std::string out;
   EXPECT_TRUE(archiver_.ReadRange(0, 100, &out).IsOutOfRange());
+  // offset + length wraps to 1 here; the check must not.
+  EXPECT_TRUE(archiver_.ReadRange(UINT64_MAX, 2, &out).IsOutOfRange());
 }
 
 TEST_F(ArchiverTest, EmptyReadIsOk) {

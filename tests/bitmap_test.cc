@@ -55,6 +55,24 @@ TEST(BitmapTest, FillRectClips) {
   EXPECT_EQ(bm.At(1, 1), 0);
   EXPECT_EQ(bm.At(2, 2), 7);
   EXPECT_EQ(bm.At(3, 3), 7);
+
+  // Clipped, negative-origin, negative-size, empty and fully outside
+  // rects all fill exactly what a per-pixel Set (which clips) fills.
+  const Rect rects[] = {{2, 2, 10, 10}, {-3, -2, 5, 4}, {-5, 1, 30, 2},
+                        {6, 0, 4, 5},   {0, 0, 7, 5},   {3, 4, 2, 2},
+                        {0, 0, 0, 3},   {1, 1, 3, 0},   {1, 1, -2, 3},
+                        {9, 9, 2, 2},   {-4, -4, 3, 3}, {0, 4, 7, 1}};
+  for (const Rect& r : rects) {
+    Bitmap got(7, 5);
+    got.Fill(1);
+    Bitmap want = got;
+    got.FillRect(r, 9);
+    for (int y = r.y; y < r.y + r.h; ++y) {
+      for (int x = r.x; x < r.x + r.w; ++x) want.Set(x, y, 9);
+    }
+    EXPECT_TRUE(got == want)
+        << "rect " << r.x << "," << r.y << " " << r.w << "x" << r.h;
+  }
 }
 
 TEST(BitmapTest, BlitOverwritesIncludingBlanks) {

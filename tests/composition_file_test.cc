@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "minos/util/coding.h"
+
 namespace minos::storage {
 namespace {
 
@@ -41,6 +45,8 @@ TEST(CompositionFileTest, ReadRangeBounds) {
   ASSERT_TRUE(cf.ReadRange(3, 4, &out).ok());
   EXPECT_EQ(out, "3456");
   EXPECT_TRUE(cf.ReadRange(8, 5, &out).IsOutOfRange());
+  // offset + length wraps to 1 here; the check must not.
+  EXPECT_TRUE(cf.ReadRange(UINT64_MAX, 2, &out).IsOutOfRange());
 }
 
 TEST(CompositionFileTest, SerializeRoundTrip) {
@@ -77,6 +83,12 @@ TEST(CompositionFileTest, DeserializeRejectsTruncation) {
         CompositionFile::Deserialize(std::string_view(bytes).substr(0, cut));
     EXPECT_FALSE(restored.ok()) << "cut=" << cut;
   }
+  // A part count far beyond what the bytes could hold is a truncation
+  // too, not an allocation sized by the forged count.
+  std::string huge_count;
+  PutVarint64(&huge_count, uint64_t{1} << 62);
+  EXPECT_TRUE(
+      CompositionFile::Deserialize(huge_count).status().IsCorruption());
 }
 
 TEST(CompositionFileTest, DeserializeRejectsBadType) {
@@ -86,6 +98,19 @@ TEST(CompositionFileTest, DeserializeRejectsBadType) {
   // The type byte follows the varint part count (1 byte) and the
   // length-prefixed name (1 + 1 bytes).
   bytes[3] = 99;
+  EXPECT_TRUE(CompositionFile::Deserialize(bytes).status().IsCorruption());
+}
+
+TEST(CompositionFileTest, DeserializeRejectsWrappingPart) {
+  // A catalog entry whose offset + length wraps past 2^64 into the
+  // payload: Serialize() never writes one, so it is hand-encoded.
+  std::string bytes;
+  PutVarint64(&bytes, 1);
+  PutLengthPrefixed(&bytes, "a");
+  bytes.push_back(static_cast<char>(DataType::kText));
+  PutVarint64(&bytes, UINT64_MAX);
+  PutVarint64(&bytes, 2);
+  PutLengthPrefixed(&bytes, "payload");
   EXPECT_TRUE(CompositionFile::Deserialize(bytes).status().IsCorruption());
 }
 

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "minos/object/multimedia_object.h"
 #include "minos/object/part_codec.h"
 #include "minos/obs/trace.h"
@@ -13,7 +16,9 @@
 #include "minos/server/repair.h"
 #include "minos/storage/archiver.h"
 #include "minos/storage/block_cache.h"
+#include "minos/storage/composition_file.h"
 #include "minos/text/markup.h"
+#include "minos/util/coding.h"
 #include "minos/util/random.h"
 #include "minos/voice/synthesizer.h"
 
@@ -42,40 +47,130 @@ object::MultimediaObject ReferenceObject() {
   return obj;
 }
 
+/// An audio-mode object with a voice part of a few hundred samples, so
+/// the sweeps below reach every voice field, PCM included.
+object::MultimediaObject AudioReferenceObject() {
+  object::MultimediaObject obj(78);
+  text::Document doc;
+  doc.AppendText("Spoken memo here.");
+  doc.AddComponentSpan({text::LogicalUnit::kParagraph, {0, 17}, ""});
+  voice::VoiceTrack track;
+  track.pcm = voice::PcmBuffer(8000);
+  for (int i = 0; i < 300; ++i) {
+    track.pcm.Push(static_cast<int16_t>((i % 50 - 25) * 1201));
+  }
+  track.words = {{"spoken", 0, {0, 90}},
+                 {"memo", 7, {120, 200}},
+                 {"here", 12, {230, 300}}};
+  track.silences = {{{90, 120}, 0}, {{200, 230}, 0}};
+  voice::VoiceDocument vdoc(std::move(track));
+  vdoc.TagComponent(text::LogicalUnit::kParagraph, {0, 300}, "memo");
+  EXPECT_TRUE(obj.SetVoicePart(std::move(vdoc)).ok());
+  EXPECT_TRUE(obj.SetTextPart(std::move(doc)).ok());
+  obj.descriptor().driving_mode = object::DrivingMode::kAudio;
+  EXPECT_TRUE(obj.Archive().ok());
+  return obj;
+}
+
+/// The two reference objects every decode sweep runs over.
+std::vector<object::MultimediaObject> SweepObjects() {
+  std::vector<object::MultimediaObject> objs;
+  objs.push_back(ReferenceObject());
+  objs.push_back(AudioReferenceObject());
+  return objs;
+}
+
+/// Archive images of ReferenceObject() with one part pointer whose
+/// offset + length wraps past 2^64 back into range: first in the
+/// composition catalog, then in the descriptor (which carries no CRC).
+std::vector<std::string> WrappingPointerImages() {
+  const std::string bytes = ReferenceObject().SerializeArchived().value();
+  Decoder dec(bytes);
+  std::string desc_bytes;
+  EXPECT_TRUE(dec.GetLengthPrefixed(&desc_bytes).ok());
+  const size_t comp_at = bytes.size() - dec.remaining();
+  auto desc = object::ObjectDescriptor::Deserialize(desc_bytes).value();
+  auto comp =
+      storage::CompositionFile::Deserialize(bytes.substr(comp_at)).value();
+
+  std::string forged_catalog = bytes.substr(0, comp_at);
+  PutVarint64(&forged_catalog, comp.part_count());
+  for (const storage::CompositionFile::Part& p : comp.parts()) {
+    const bool forge = p.name == "text";
+    PutLengthPrefixed(&forged_catalog, p.name);
+    forged_catalog.push_back(static_cast<char>(p.type));
+    PutVarint64(&forged_catalog, forge ? UINT64_MAX : p.offset);
+    PutVarint64(&forged_catalog, forge ? 2 : p.length);
+  }
+  PutLengthPrefixed(&forged_catalog, comp.raw_data());
+
+  for (object::PartPointer& p : desc.parts) {
+    if (p.name == "text") {
+      p.offset = UINT64_MAX;
+      p.length = 2;
+    }
+  }
+  std::string forged_descriptor;
+  PutLengthPrefixed(&forged_descriptor, desc.Serialize());
+  forged_descriptor += bytes.substr(comp_at);
+  return {forged_catalog, forged_descriptor};
+}
+
 TEST(CorruptionFuzzTest, EveryTruncationFailsCleanly) {
-  const object::MultimediaObject obj = ReferenceObject();
-  const std::string bytes = obj.SerializeArchived().value();
-  for (size_t cut = 0; cut < bytes.size(); cut += 3) {
-    auto decoded = object::MultimediaObject::DeserializeArchived(
-        77, std::string_view(bytes).substr(0, cut));
-    // Must not crash; almost always an error. If a prefix happens to
-    // decode, it must be structurally sound.
-    if (decoded.ok()) {
-      EXPECT_EQ(decoded->state(), object::ObjectState::kArchived);
+  for (const object::MultimediaObject& obj : SweepObjects()) {
+    const std::string bytes = obj.SerializeArchived().value();
+    for (size_t cut = 0; cut < bytes.size(); cut += 3) {
+      auto decoded = object::MultimediaObject::DeserializeArchived(
+          obj.id(), std::string_view(bytes).substr(0, cut));
+      // Must not crash; almost always an error. If a prefix happens to
+      // decode, it must be structurally sound.
+      if (decoded.ok()) {
+        EXPECT_EQ(decoded->state(), object::ObjectState::kArchived);
+      }
     }
   }
 }
 
 TEST(CorruptionFuzzTest, SingleByteFlipsNeverCrash) {
-  const object::MultimediaObject obj = ReferenceObject();
-  const std::string bytes = obj.SerializeArchived().value();
-  Random rng(2024);
-  for (int trial = 0; trial < 400; ++trial) {
-    std::string mutated = bytes;
-    const size_t pos = rng.Uniform(mutated.size());
-    mutated[pos] = static_cast<char>(rng.Next64());
-    auto decoded =
-        object::MultimediaObject::DeserializeArchived(77, mutated);
-    if (decoded.ok()) {
-      // A surviving decode must be internally consistent: anchors and
-      // image references may be wild, but reading the parts must work.
-      if (decoded->has_text()) {
-        EXPECT_LE(decoded->text_part().size(), mutated.size());
+  for (const object::MultimediaObject& obj : SweepObjects()) {
+    const std::string bytes = obj.SerializeArchived().value();
+    Random rng(2024);
+    for (int trial = 0; trial < 400; ++trial) {
+      std::string mutated = bytes;
+      const size_t pos = rng.Uniform(mutated.size());
+      mutated[pos] = static_cast<char>(rng.Next64());
+      auto decoded =
+          object::MultimediaObject::DeserializeArchived(obj.id(), mutated);
+      if (decoded.ok()) {
+        // A surviving decode must be internally consistent: anchors and
+        // image references may be wild, but reading the parts must work.
+        if (decoded->has_text()) {
+          EXPECT_LE(decoded->text_part().size(), mutated.size());
+        }
+        if (decoded->has_voice()) {
+          EXPECT_LE(2 * decoded->voice_part().pcm().size(), mutated.size());
+        }
+        for (const auto& img : decoded->images()) {
+          EXPECT_GE(img.width(), 0);
+          EXPECT_GE(img.height(), 0);
+        }
       }
-      for (const auto& img : decoded->images()) {
-        EXPECT_GE(img.width(), 0);
-        EXPECT_GE(img.height(), 0);
-      }
+    }
+  }
+}
+
+TEST(CorruptionFuzzTest, WrappingPartPointersFailWithAStatus) {
+  // Both decoders must answer a wrapping pointer with a status, never
+  // an exception out of the substring it would have taken.
+  for (const std::string& forged : WrappingPointerImages()) {
+    object::MultimediaObject::PartSalvageReport report;
+    for (const Status& status :
+         {object::MultimediaObject::DeserializeArchived(77, forged).status(),
+          object::MultimediaObject::DeserializeArchivedLenient(77, forged,
+                                                               &report)
+              .status()}) {
+      EXPECT_TRUE(status.IsCorruption() || status.IsOutOfRange())
+          << status.ToString();
     }
   }
 }
@@ -275,6 +370,14 @@ TEST(CorruptionFuzzTest, FuzzedReplicaIngestIsAtomicAndNeverDestructive) {
       EXPECT_EQ(held, 1u);
       EXPECT_TRUE(server.ReadObjectBytes(77).ok());
     }
+  }
+  // Wrapping part pointers are rejected like any other damage.
+  for (const std::string& forged : WrappingPointerImages()) {
+    auto accepted = server.AcceptReplica(77, 1, forged);
+    EXPECT_TRUE(accepted.status().IsCorruption() ||
+                accepted.status().IsOutOfRange())
+        << accepted.status().ToString();
+    EXPECT_EQ(server.object_count(), held);
   }
   // The pristine replica always lands, whatever the fuzz left behind.
   auto accepted = server.AcceptReplica(77, 2, bytes);

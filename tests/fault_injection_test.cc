@@ -502,6 +502,46 @@ TEST_F(DeviceFaultTest, FailedAppendLeavesNoVersionRecordBehind) {
   device_.SetWriteFaultHook(nullptr);
 }
 
+TEST_F(DeviceFaultTest, FailedBlockMidAppendKeepsWrittenBlocksAndTail) {
+  // A six-block append through the cached archiver whose third block
+  // write fails: the first two blocks are on the medium and in the
+  // cache, the write head still covers the whole append, and the
+  // unwritten rest stays in the tail until the next append writes it.
+  const uint32_t bs = device_.block_size();
+  std::string payload(6 * bs + 100, '\0');
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<char>(i * 131 + 7);
+  }
+  device_.SetWriteFaultHook([](uint64_t block, std::string*) {
+    return block == 2 ? Status::Unavailable("media error") : Status::OK();
+  });
+  EXPECT_TRUE(archiver_.Append(payload).status().IsUnavailable());
+  device_.SetWriteFaultHook(nullptr);
+
+  EXPECT_EQ(device_.blocks_used(), 2u);
+  EXPECT_EQ(device_.stats().blocks_written, 2u);
+  for (uint64_t b = 0; b < 2; ++b) {
+    std::string cached;
+    ASSERT_TRUE(cache_.Lookup(b, &cached)) << "block " << b;
+    EXPECT_EQ(cached, payload.substr(b * bs, bs));
+    std::string medium;
+    ASSERT_TRUE(device_.Read(b, 1, &medium).ok());
+    EXPECT_EQ(medium, cached);
+  }
+  std::string absent;
+  EXPECT_FALSE(cache_.Lookup(2, &absent));
+  EXPECT_EQ(archiver_.size(), payload.size());
+
+  auto next = archiver_.Append("after");
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(next->offset, payload.size());
+  EXPECT_EQ(device_.blocks_used(), 6u);
+  ASSERT_TRUE(archiver_.Flush().ok());
+  std::string back;
+  ASSERT_TRUE(archiver_.ReadRange(0, payload.size() + 5, &back).ok());
+  EXPECT_EQ(back, payload + "after");
+}
+
 TEST_F(DeviceFaultTest, TornWriteIsCaughtByChecksumsAndSalvaged) {
   // A torn append: the write commits, but one byte in the middle of the
   // voice part lands garbled. Structurally the object decodes; only the

@@ -4,6 +4,7 @@
 
 #include "minos/object/part_codec.h"
 #include "minos/text/markup.h"
+#include "minos/util/coding.h"
 #include "minos/voice/synthesizer.h"
 
 namespace minos::object {
@@ -204,6 +205,95 @@ TEST(MultimediaObjectTest, ArchivalRoundTrip) {
   EXPECT_EQ(restored->images()[0].Render().Digest(),
             obj.images()[0].Render().Digest());
   EXPECT_EQ(restored->descriptor().pages.size(), 1u);
+}
+
+// --- Pinned archive images ---------------------------------------------
+//
+// Built field by field (no markup parser, no synthesizer), so the bytes
+// depend on nothing but the archival format. The pinned lengths and
+// CRC-32s were taken from the encoder before the decode moved to views;
+// any change to a byte on the medium fails here.
+
+/// An audio-mode object: PCM with negative and positive samples, word
+/// alignments, silences, tagged voice components and a voice message.
+MultimediaObject GoldenAudioObject() {
+  MultimediaObject obj(101);
+  EXPECT_TRUE(obj.SetAttribute("ward", "north 3").ok());
+  text::Document doc;
+  doc.AppendText("Pulse steady. Discharge tomorrow.");
+  doc.AddComponentSpan({text::LogicalUnit::kParagraph, {0, 33}, ""});
+  doc.AddComponentSpan({text::LogicalUnit::kSentence, {0, 13}, ""});
+  doc.AddComponentSpan({text::LogicalUnit::kSentence, {14, 33}, ""});
+  voice::VoiceTrack track;
+  track.pcm = voice::PcmBuffer(8000);
+  for (int i = 0; i < 480; ++i) {
+    track.pcm.Push(static_cast<int16_t>((i % 64 - 32) * 997));
+  }
+  track.words = {{"pulse", 0, {0, 90}},
+                 {"steady", 6, {110, 200}},
+                 {"discharge", 14, {260, 380}},
+                 {"tomorrow", 24, {400, 480}}};
+  track.silences = {{{90, 110}, 0}, {{200, 260}, 1}, {{380, 400}, 0}};
+  voice::VoiceDocument vdoc(std::move(track));
+  vdoc.TagComponent(text::LogicalUnit::kParagraph, {0, 480}, "round");
+  vdoc.TagComponent(text::LogicalUnit::kSentence, {0, 200}, "");
+  vdoc.TagComponent(text::LogicalUnit::kSentence, {260, 480}, "");
+  EXPECT_TRUE(obj.SetVoicePart(std::move(vdoc)).ok());
+  EXPECT_TRUE(obj.SetTextPart(std::move(doc)).ok());
+  obj.descriptor().driving_mode = DrivingMode::kAudio;
+  VoiceLogicalMessage m;
+  m.transcript = "listen";
+  m.voice_anchor = VoiceAnchor{200, 200};
+  obj.descriptor().voice_messages.push_back(m);
+  EXPECT_TRUE(obj.Archive().ok());
+  return obj;
+}
+
+/// A two-page visual report: a chapter with emphasis, and an image
+/// placed on the first page.
+MultimediaObject GoldenReportObject() {
+  MultimediaObject obj(102);
+  EXPECT_TRUE(obj.SetAttribute("kind", "report").ok());
+  text::Document doc;
+  doc.AppendText("Findings\nA hairline fracture. Review in two weeks.\n");
+  doc.AddComponentSpan({text::LogicalUnit::kChapter, {0, 51}, "Findings"});
+  doc.AddComponentSpan({text::LogicalUnit::kParagraph, {9, 51}, ""});
+  doc.AddEmphasis({{11, 19}, text::Emphasis::kBold});
+  EXPECT_TRUE(obj.SetTextPart(std::move(doc)).ok());
+  image::Bitmap bm(40, 30);
+  bm.FillRect(image::Rect{5, 5, 12, 10}, 200);
+  bm.FillRect(image::Rect{20, 12, 15, 14}, 90);
+  EXPECT_TRUE(obj.AddImage(image::Image::FromBitmap(std::move(bm))).ok());
+  VisualPageSpec first;
+  first.text_page = 1;
+  first.images.push_back({0, image::Rect{2, 3, 40, 30}});
+  VisualPageSpec second;
+  second.text_page = 2;
+  obj.descriptor().pages = {first, second};
+  EXPECT_TRUE(obj.Archive().ok());
+  return obj;
+}
+
+TEST(ArchivalGoldenTest, ArchiveImagesArePinnedAndRoundTripExactly) {
+  struct Golden {
+    MultimediaObject obj;
+    size_t length;
+    uint32_t crc;
+  };
+  const Golden goldens[] = {{GoldenAudioObject(), 1230, 0x3211d195u},
+                            {GoldenReportObject(), 1401, 0x6be45148u}};
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE(g.obj.id());
+    auto bytes = g.obj.SerializeArchived();
+    ASSERT_TRUE(bytes.ok());
+    EXPECT_EQ(bytes->size(), g.length);
+    EXPECT_EQ(Crc32(*bytes), g.crc);
+    auto decoded = MultimediaObject::DeserializeArchived(g.obj.id(), *bytes);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    auto again = decoded->SerializeArchived();
+    ASSERT_TRUE(again.ok());
+    EXPECT_TRUE(*again == *bytes);
+  }
 }
 
 TEST(MultimediaObjectTest, DeserializeRejectsGarbage) {
