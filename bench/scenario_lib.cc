@@ -455,15 +455,15 @@ int ParseWorkers(int argc, char** argv) {
   int workers = 1;
   if (const char* env = std::getenv("MINOS_WORKERS");
       env != nullptr && *env != '\0') {
-    workers = std::max(1, std::atoi(env));
+    workers = std::max(0, std::atoi(env));
   }
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--workers" && i + 1 < argc) {
-      workers = std::max(1, std::atoi(argv[i + 1]));
+      workers = std::max(0, std::atoi(argv[i + 1]));
       ++i;
     } else if (arg.rfind("--workers=", 0) == 0) {
-      workers = std::max(1, std::atoi(arg.c_str() + 10));
+      workers = std::max(0, std::atoi(arg.c_str() + 10));
     }
   }
   State().workers = workers;

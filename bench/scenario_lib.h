@@ -67,8 +67,10 @@ object::MultimediaObject BuildProcessSimulationObject(storage::ObjectId id,
 
 /// Parses `--workers N` (or `--workers=N`) from the command line and
 /// returns the value (default 1; the MINOS_WORKERS environment variable
-/// supplies the default when the flag is absent). Call once at the top
-/// of main: the value is remembered, read back via Workers(), and
+/// supplies the default when the flag is absent). 0 is valid: the
+/// bench's task pools then start no thread and run every epoch inline
+/// on the caller; negative values clamp to 0. Call once at the top of
+/// main: the value is remembered, read back via Workers(), and
 /// stamped into every metrics snapshot's `workers` header field — the
 /// one field the determinism matrix allows to differ across runs.
 int ParseWorkers(int argc, char** argv);

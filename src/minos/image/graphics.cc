@@ -168,7 +168,9 @@ StatusOr<GraphicsImage> GraphicsImage::Deserialize(std::string_view bytes) {
     o.shape = static_cast<ShapeKind>(static_cast<uint8_t>(b[0]));
     uint64_t nv = 0;
     MINOS_RETURN_IF_ERROR(dec.GetVarint64(&nv));
-    o.vertices.reserve(nv);
+    // Every vertex takes at least two bytes, so a forged count cannot
+    // reserve more than the input could hold.
+    o.vertices.reserve(std::min<uint64_t>(nv, dec.remaining() / 2));
     for (uint64_t v = 0; v < nv; ++v) {
       uint32_t x = 0, y = 0;
       MINOS_RETURN_IF_ERROR(dec.GetVarint32(&x));

@@ -7,7 +7,7 @@
 namespace minos::runtime {
 
 TaskPool::TaskPool(SimClock* clock, int workers)
-    : clock_(clock), queues_(static_cast<size_t>(std::max(workers, 1))) {
+    : clock_(clock), queues_(static_cast<size_t>(std::max(workers, 0))) {
   const size_t n = queues_.size();
   workers_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -28,8 +28,9 @@ std::vector<Micros> TaskPool::RunEpoch(std::vector<Task> tasks,
                                        TimeModel model) {
   if (tasks.empty()) return {};
   // A task submitting an epoch would deadlock waiting for workers that
-  // are waiting for it; run nested epochs inline on the caller's frame.
-  if (t_in_task_) return RunInline(tasks, model);
+  // are waiting for it, and a zero-worker pool has none: both run the
+  // epoch inline on the caller's frame.
+  if (t_in_task_ || workers_.empty()) return RunInline(tasks, model);
 
   const Micros base = clock_->Now();
   std::vector<Micros> costs(tasks.size(), 0);
@@ -57,21 +58,25 @@ std::vector<Micros> TaskPool::RunEpoch(std::vector<Task> tasks,
   epoch->sinks = tracer_ != nullptr ? &sinks : nullptr;
   epoch->remaining.store(tasks.size(), std::memory_order_relaxed);
 
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    epoch->generation = ++generation_;
-    // Deterministic initial placement: task i starts on worker i % N.
-    // Stealing redistributes the wall-clock work, never the results.
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      WorkerQueue& q = queues_[i % queues_.size()];
-      std::lock_guard<std::mutex> qlock(q.mu);
-      q.tasks.push_back(QueuedTask{epoch->generation, i});
+  if (tasks.size() == 1) {
+    // A worker would only add a wake-up and a barrier wait: run the
+    // task here, exactly as a worker would.
+    RunTask(*epoch, 0);
+  } else {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      epoch->generation = ++generation_;
+      // Deterministic initial placement: task i starts on worker i % N.
+      // Stealing redistributes the wall-clock work, never the results.
+      for (size_t i = 0; i < tasks.size(); ++i) {
+        WorkerQueue& q = queues_[i % queues_.size()];
+        std::lock_guard<std::mutex> qlock(q.mu);
+        q.tasks.push_back(QueuedTask{epoch->generation, i});
+      }
+      epoch_ = epoch;
     }
-    epoch_ = epoch;
-  }
-  work_cv_.notify_all();
+    work_cv_.notify_all();
 
-  {
     std::unique_lock<std::mutex> lock(mu_);
     done_cv_.wait(lock, [&] {
       return epoch->remaining.load(std::memory_order_acquire) == 0;
@@ -132,6 +137,21 @@ void TaskPool::RethrowFirst(const std::vector<std::exception_ptr>& errors) {
   }
 }
 
+void TaskPool::RunTask(const Epoch& epoch, size_t index) {
+  SimClock::Frame frame(clock_, epoch.base);
+  obs::Tracer::TaskSinkScope sink_scope(
+      epoch.sinks != nullptr ? (*epoch.sinks)[index] : nullptr);
+  t_in_task_ = true;
+  try {
+    (*epoch.tasks)[index]();
+  } catch (...) {
+    (*epoch.errors)[index] = std::current_exception();
+  }
+  t_in_task_ = false;
+  (*epoch.costs)[index] = frame.elapsed();
+  tasks_run_.fetch_add(1, std::memory_order_relaxed);
+}
+
 void TaskPool::WorkerLoop(size_t self) {
   uint64_t seen_generation = 0;
   while (true) {
@@ -148,21 +168,7 @@ void TaskPool::WorkerLoop(size_t self) {
     size_t index;
     while (epoch->remaining.load(std::memory_order_acquire) != 0 &&
            ClaimTask(self, epoch->generation, &index)) {
-      const std::vector<obs::Tracer::TaskSink*>* sinks = epoch->sinks;
-      {
-        SimClock::Frame frame(clock_, epoch->base);
-        obs::Tracer::TaskSinkScope sink_scope(
-            sinks != nullptr ? (*sinks)[index] : nullptr);
-        t_in_task_ = true;
-        try {
-          (*epoch->tasks)[index]();
-        } catch (...) {
-          (*epoch->errors)[index] = std::current_exception();
-        }
-        t_in_task_ = false;
-        (*epoch->costs)[index] = frame.elapsed();
-      }
-      tasks_run_.fetch_add(1, std::memory_order_relaxed);
+      RunTask(*epoch, index);
       if (epoch->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         // Last task out wakes the submitter; take the lock so the wake
         // cannot slip between its predicate check and its wait.

@@ -19,12 +19,12 @@ namespace minos::runtime {
 
 /// A work-stealing task pool driven by deterministic virtual time.
 ///
-/// The MINOS simulation charges every cost to one SimClock, which made
+/// The MINOS simulation charges every cost to one SimClock, so
 /// "parallel" work (shard scatters, prefetch staging, partition scoring)
-/// sequential rewind bookkeeping: run inline, measure, rewind, advance
-/// by the slowest. This pool keeps that exact virtual-time algebra while
-/// the task bodies — decode, render, CRC, BM25 arithmetic — actually
-/// occupy multiple hardware cores.
+/// is modeled: every share runs in its own clock frame, and the clock
+/// then advances by the slowest share. This pool is the one place that
+/// rule lives; with workers, the task bodies — decode, render, CRC, BM25
+/// arithmetic — actually occupy multiple hardware cores.
 ///
 /// ## Epochs
 ///
@@ -64,6 +64,16 @@ namespace minos::runtime {
 /// shard scatter) runs the nested epoch inline on its own frame —
 /// serially, with identical virtual-time math — so composition can
 /// never deadlock the worker set.
+///
+/// ## Zero workers and one-task epochs
+///
+/// A zero-worker pool starts no thread: every epoch runs inline on the
+/// caller, like a nested one. Its tasks are not pool tasks (InTask()
+/// stays false) and their spans go straight to the tracer, with no
+/// sinks. Components that fan out keep one as their default, so there
+/// is one fan-out path with or without workers. On a pool with workers,
+/// a one-task epoch runs on the submitter exactly as a worker would run
+/// it, which saves the handoff.
 class TaskPool {
  public:
   using Task = std::function<void()>;
@@ -74,8 +84,9 @@ class TaskPool {
     kSerial,    ///< Advance by the sum (a shared serial resource).
   };
 
-  /// `clock` borrowed, required. `workers` >= 1 real threads are spawned
-  /// immediately and parked until the first epoch.
+  /// `clock` borrowed, required. `workers` real threads are spawned
+  /// immediately and parked until the first epoch; 0 (or less) spawns
+  /// none and runs every epoch inline on the caller.
   explicit TaskPool(SimClock* clock, int workers = 1);
   ~TaskPool();
 
@@ -83,9 +94,9 @@ class TaskPool {
   TaskPool& operator=(const TaskPool&) = delete;
 
   /// Attaches the tracer whose spans epoch tasks record (borrowed; null
-  /// detaches). Each task then buffers spans into a private sink that
-  /// commits at the barrier — required for deterministic trace output
-  /// when tasks start spans.
+  /// detaches). On a pool with workers each task then buffers spans into
+  /// a private sink that commits at the barrier — required for
+  /// deterministic trace output when tasks start spans.
   void SetTracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
   int worker_count() const { return static_cast<int>(workers_.size()); }
@@ -150,7 +161,12 @@ class TaskPool {
   /// epoch. Every queued task belongs to the newest epoch, so a
   /// mismatched tag means this worker's epoch is over.
   bool ClaimTask(size_t self, uint64_t generation, size_t* index);
-  /// Serial fallback with identical semantics: nested RunEpoch calls.
+  /// Runs task `index` of `epoch` as a pool task: its own frame at the
+  /// epoch base, its sink installed, InTask() true, any exception
+  /// captured into its slot. Workers and one-task submitters share it.
+  void RunTask(const Epoch& epoch, size_t index);
+  /// Serial execution with identical semantics: nested RunEpoch calls
+  /// and every epoch of a zero-worker pool.
   std::vector<Micros> RunInline(std::vector<Task>& tasks, TimeModel model);
   static Micros FoldCosts(const std::vector<Micros>& costs, TimeModel model);
   void RethrowFirst(const std::vector<std::exception_ptr>& errors);

@@ -82,11 +82,12 @@ class ObjectStore {
   /// nothing.
   virtual void SetTracer(obs::Tracer* tracer) = 0;
 
-  /// Attaches a task pool (borrowed; null detaches) that parallel-
-  /// capable stores use for their hot fan-outs — shard scatters,
-  /// partitioned scoring. The default is a no-op: a store without
-  /// parallel paths simply keeps running serially, with identical
-  /// results.
+  /// Attaches a task pool (borrowed) that parallel-capable stores use
+  /// for their hot fan-outs — shard scatters, partitioned scoring. Null
+  /// restores each store's default (a router scatters on its own
+  /// zero-worker pool, a server scores the whole range in one pass), with
+  /// identical results. The default is a no-op: a store without fan-outs
+  /// has nothing to attach.
   virtual void SetTaskPool(runtime::TaskPool* pool) { (void)pool; }
 
   /// Stable grouping key for prefetch staging of `id`: entries with the

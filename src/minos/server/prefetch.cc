@@ -19,7 +19,10 @@ PrefetchQueue::PrefetchQueue(SimClock* clock, Link* link,
 
 PrefetchQueue::PrefetchQueue(SimClock* clock, std::vector<Link*> links,
                              PrefetchOptions options)
-    : clock_(clock), links_(std::move(links)), options_(options) {
+    : clock_(clock),
+      links_(std::move(links)),
+      options_(options),
+      inline_pool_(clock, /*workers=*/0) {
   obs::MetricsRegistry& reg = options_.registry != nullptr
                                   ? *options_.registry
                                   : obs::MetricsRegistry::Default();
@@ -46,7 +49,7 @@ void PrefetchQueue::UpdateDepth() {
 
 void PrefetchQueue::SetTaskPool(runtime::TaskPool* pool,
                                 AffinityFn affinity) {
-  pool_ = pool;
+  pool_ = pool != nullptr ? pool : &inline_pool_;
   affinity_ = std::move(affinity);
 }
 
@@ -177,26 +180,6 @@ void PrefetchQueue::Book(EntryRef it, Micros start, Micros cost,
   MarkReady(it, bg_free_at_);
 }
 
-void PrefetchQueue::Issue(EntryRef it) {
-  const Micros start = clock_->Now();
-  Status verdict = Status::OK();
-  {
-    // One scope per link: a sharded fetch may fail over mid-work, and
-    // every link it touches must see the access as speculative.
-    std::vector<std::unique_ptr<Link::BackgroundScope>> background;
-    background.reserve(links_.size());
-    for (Link* link : links_) {
-      background.push_back(std::make_unique<Link::BackgroundScope>(link));
-    }
-    verdict = it->second.run();
-  }
-  const Micros cost = clock_->Now() - start;
-  // The foreground never saw this work: rewind and book the cost on the
-  // serialized background channel instead.
-  clock_->RewindTo(start);
-  Book(it, start, cost, verdict);
-}
-
 void PrefetchQueue::Pump() {
   if (pumping_) return;  // A pumped transfer's retry is pumping us.
   pumping_ = true;
@@ -214,27 +197,26 @@ void PrefetchQueue::Pump() {
        it != pick_order_.end() && picked.size() < limit; ++it) {
     picked.push_back(it->second);
   }
-  if (pool_ != nullptr && picked.size() > 1) {
-    IssuePooled(picked);
-  } else {
-    for (EntryRef it : picked) Issue(it);
-  }
+  if (!picked.empty()) Issue(picked);
   EvictOverCapacity();
   UpdateDepth();
   pumping_ = false;
 }
 
-void PrefetchQueue::IssuePooled(const std::vector<EntryRef>& picked) {
+void PrefetchQueue::Issue(const std::vector<EntryRef>& picked) {
   // Group the picks by staging affinity: entries bound for different
   // shards ride different arms and may stage concurrently; entries of
   // one group — and every pick when no affinity oracle is installed —
-  // run sequentially inside one task. Group membership is a pure
-  // function of pick order and affinity, never of worker count.
+  // run sequentially inside one task. Without workers nothing runs
+  // concurrently, so every pick rides one group, in pick order. Group
+  // membership is a pure function of pick order, affinity and whether
+  // the pool has workers at all, never of how many it has.
+  const bool grouped = affinity_ && pool_->worker_count() > 0;
   std::vector<uint64_t> group_ids;
   std::vector<std::vector<size_t>> groups;
   for (size_t i = 0; i < picked.size(); ++i) {
     const uint64_t affinity =
-        affinity_ ? affinity_(picked[i]->second.affinity_object) : 0;
+        grouped ? affinity_(picked[i]->second.affinity_object) : 0;
     size_t g = 0;
     for (; g < group_ids.size(); ++g) {
       if (group_ids[g] == affinity) break;
@@ -252,9 +234,11 @@ void PrefetchQueue::IssuePooled(const std::vector<EntryRef>& picked) {
   };
   std::vector<IssueOutcome> outcomes(picked.size());
   {
-    // The background scopes span the whole epoch from this thread: the
-    // per-link flag is a plain bool, so it must be set before any task
-    // runs and cleared after the barrier, never toggled mid-epoch.
+    // One scope per link: a sharded fetch may fail over mid-work, and
+    // every link it touches must see the access as speculative. The
+    // scopes span the whole epoch from this thread: the per-link flag is
+    // a plain bool, so it must be set before any task runs and cleared
+    // after the barrier, never toggled mid-epoch.
     std::vector<std::unique_ptr<Link::BackgroundScope>> background;
     background.reserve(links_.size());
     for (Link* link : links_) {
@@ -271,7 +255,7 @@ void PrefetchQueue::IssuePooled(const std::vector<EntryRef>& picked) {
           outcomes[i].verdict = picked[i]->second.run();
           outcomes[i].cost = clock_->Now() - start;
           // The frame never advances: staging time is booked on the
-          // background channel below, exactly like the serial pump.
+          // background channel below.
           clock_->RewindTo(start);
         }
       });
@@ -279,9 +263,8 @@ void PrefetchQueue::IssuePooled(const std::vector<EntryRef>& picked) {
     pool_->RunEpoch(std::move(tasks));
   }
 
-  // Booking pass, in pick order: identical channel math and metric
-  // order to issuing serially (every serial issue started at this same
-  // virtual instant — each Issue rewinds before the next one runs).
+  // Booking pass, in pick order: every pick started at this same
+  // virtual instant, since each one rewinds before the next one runs.
   const Micros start = clock_->Now();
   for (size_t i = 0; i < picked.size(); ++i) {
     Book(picked[i], start, outcomes[i].cost, outcomes[i].verdict);

@@ -84,13 +84,15 @@ struct PrefetchOptions {
 /// ## Time model
 ///
 /// Everything runs on one SimClock, so a background transfer would
-/// normally stall the foreground. Instead the queue runs each speculative
-/// work item inline, measures its cost, rewinds the clock to the start,
-/// and books the cost on a serialized background channel: entry i is
-/// ready at `max(issue_time, channel_free_time) + cost`. A consumer that
-/// arrives after `ready_at` gets a free hit; one that arrives early waits
-/// only the residual (a partial hit). The foreground clock only ever
-/// advances by time the user would genuinely have waited.
+/// normally stall the foreground. Instead each pump stages its picks as
+/// one task-pool epoch in which every work item measures its cost and
+/// rewinds its frame to the start, so the epoch leaves the foreground
+/// clock where it was; the cost is booked on a serialized background
+/// channel: entry i is ready at `max(issue_time, channel_free_time) +
+/// cost`. A consumer that arrives after `ready_at` gets a free hit; one
+/// that arrives early waits only the residual (a partial hit). The
+/// foreground clock only ever advances by time the user would genuinely
+/// have waited.
 ///
 /// ## Fault posture
 ///
@@ -150,8 +152,9 @@ class PrefetchQueue {
 
   /// Requests the miniature card at strip position `position`.
   /// `affinity_object` optionally names the object the card belongs to,
-  /// so a pooled pump can group the work by the shard that will serve
-  /// it (the key's object_id is always 0 — the strip owns the cursor).
+  /// so a pump with workers can group the work by the shard that will
+  /// serve it (the key's object_id is always 0 — the strip owns the
+  /// cursor).
   void WantMiniature(int position, int distance, CardWork work,
                      uint64_t affinity_object = 0);
 
@@ -220,13 +223,15 @@ class PrefetchQueue {
   /// (for a sharded store, 1 + the serving shard; 0 = unknown).
   using AffinityFn = std::function<uint64_t(uint64_t object_id)>;
 
-  /// Attaches a task pool (borrowed; null restores serial pumping).
-  /// Pump then stages this pump's picks as one epoch: entries of
-  /// different affinity groups run concurrently on real cores, entries
-  /// of one group (one shard's arm) — and every entry when `affinity`
-  /// is null or answers 0 — stay sequential. Pick order, virtual-time
-  /// booking on the background channel, and every prefetch.* metric
-  /// are identical to the serial pump.
+  /// Attaches the task pool each pump stages its picks on, as one epoch
+  /// (borrowed; null restores the queue's own zero-worker pool). With
+  /// workers, entries of different affinity groups run concurrently on
+  /// real cores, while entries of one group (one shard's arm) — and
+  /// every entry when `affinity` is null or answers 0 — stay
+  /// sequential. Without workers every pick runs inline, in pick order,
+  /// and `affinity` is never called. Pick order, virtual-time booking on
+  /// the background channel, and every prefetch.* metric are identical
+  /// at any worker count.
   void SetTaskPool(runtime::TaskPool* pool, AffinityFn affinity = nullptr);
 
   /// A BackoffSleeper that spends retry backoff windows pumping this
@@ -252,7 +257,7 @@ class PrefetchQueue {
     uint64_t seq = 0;  ///< Enqueue order; unique, smaller is staler.
     bool ready = false;
     Micros ready_at = 0;
-    uint64_t affinity_object = 0;  ///< Grouping hint for pooled pumps.
+    uint64_t affinity_object = 0;  ///< Grouping hint for pump epochs.
     uint64_t bytes = 0;            ///< Budget charge for key.owner.
     PageWork run;  ///< Null once ready.
     /// Payloads of WantObject / WantMiniature entries, kept out of line
@@ -292,7 +297,7 @@ class PrefetchQueue {
   int KeepRadius(PrefetchKind kind) const;
 
   /// Shared enqueue path: `affinity_object` is the grouping hint a
-  /// pooled pump reads (pages use their own object id).
+  /// pump with workers reads (pages use their own object id).
   void Enqueue(const PrefetchKey& key, int distance, PageWork work,
                uint64_t affinity_object, uint64_t bytes = 0);
 
@@ -321,13 +326,9 @@ class PrefetchQueue {
   void Rerank(uint64_t id, const OwnerIndex& owner,
               const std::optional<EvictRank>& before);
 
-  /// Runs one picked entry's work on the background channel and books
-  /// the outcome.
-  void Issue(EntryRef it);
-
   /// Stages `picked` (in pick order) as one pool epoch grouped by
   /// affinity, then books costs and outcomes serially in pick order.
-  void IssuePooled(const std::vector<EntryRef>& picked);
+  void Issue(const std::vector<EntryRef>& picked);
 
   /// Books one issued entry on the background channel: ready at
   /// max(channel free, start) + cost, or erased (counted an error) when
@@ -351,8 +352,9 @@ class PrefetchQueue {
   uint64_t next_seq_ = 0;
   Micros bg_free_at_ = 0;  ///< Background channel horizon.
   bool pumping_ = false;   ///< Reentrancy guard.
-  runtime::TaskPool* pool_ = nullptr;  ///< Borrowed; null pumps serially.
-  AffinityFn affinity_;                ///< Null: serialize pooled picks.
+  runtime::TaskPool inline_pool_;            ///< Zero workers.
+  runtime::TaskPool* pool_ = &inline_pool_;  ///< Borrowed, or inline.
+  AffinityFn affinity_;                      ///< Null: one group per pump.
 
   obs::Counter* enqueued_;  // Owned by the registry.
   obs::Counter* issued_;

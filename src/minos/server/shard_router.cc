@@ -38,7 +38,8 @@ ShardRouter::ShardRouter(std::vector<ObjectServer*> shards, SimClock* clock,
       placement_(std::move(placement)),
       options_(options),
       active_count_(shards_.size()),
-      live_(shards_.size(), true) {
+      live_(shards_.size(), true),
+      inline_pool_(clock, /*workers=*/0) {
   assert(!shards_.empty());
   options_.replication =
       std::clamp<int>(options_.replication, 1,
@@ -75,17 +76,17 @@ ShardRouter::ShardRouter(std::vector<ObjectServer*> shards, SimClock* clock,
 
 void ShardRouter::SetTracer(obs::Tracer* tracer) {
   tracer_ = tracer;
-  if (pool_ != nullptr) pool_->SetTracer(tracer);
+  pool_->SetTracer(tracer);
   for (ObjectServer* shard : shards_) {
     shard->SetTracer(tracer);
   }
 }
 
 void ShardRouter::SetTaskPool(runtime::TaskPool* pool) {
-  pool_ = pool;
+  pool_ = pool != nullptr ? pool : &inline_pool_;
   // The pool buffers every span a scatter share records, so it needs
   // the same tracer the fabric reports to.
-  if (pool_ != nullptr && tracer_ != nullptr) pool_->SetTracer(tracer_);
+  if (tracer_ != nullptr) pool_->SetTracer(tracer_);
   for (ObjectServer* shard : shards_) {
     shard->SetTaskPool(pool);
   }
@@ -300,79 +301,45 @@ std::vector<query::ScoredHit> ShardRouter::QueryRanked(
   RefreshLiveness();
   ranked_scatters_->Increment();
 
-  // Scatter: each live shard evaluates its local top-k against the
-  // catalog-wide statistics. All shards run on the one SimClock, so
-  // each share is measured inline, rewound, and the gather barrier
-  // advances by the slowest — exactly the GatherCards time model.
-  // Every share records its own "shard.query" span, ended before the
-  // rewind so the trace keeps the true per-shard interval: in the
-  // finished trace the shares overlap, exactly as the modeled parallel
-  // shards do.
+  // Scatter: one task per live shard, each evaluating its local top-k
+  // against the catalog-wide statistics in its own virtual-time frame.
+  // The epoch barrier advances the clock by the slowest share and
+  // commits every share's spans in shard order. Each share's
+  // "shard.query" span ends inside its frame, so in the finished trace
+  // the shares overlap, exactly as the modeled parallel shards do.
+  // Registry bookkeeping stays on this thread, post-barrier, in shard
+  // order, so metrics are schedule-independent.
   std::vector<size_t> targets;
   for (size_t shard = 0; shard < active_count_; ++shard) {
     if (live_[shard]) targets.push_back(shard);
   }
   std::vector<std::vector<query::ScoredHit>> per_shard(targets.size());
-  if (pool_ != nullptr) {
-    // Pooled scatter: one task per live shard, each share scoring in
-    // its own virtual-time frame on a real core. The epoch barrier
-    // advances the clock by the slowest frame — the same charge the
-    // rewind loop below computes — and commits every share's spans in
-    // shard order. Registry bookkeeping stays on this thread, post-
-    // barrier, in shard order, so metrics are schedule-independent.
-    std::vector<runtime::TaskPool::Task> tasks;
-    tasks.reserve(targets.size());
-    for (size_t t = 0; t < targets.size(); ++t) {
-      const size_t shard = targets[t];
-      tasks.push_back([&, t, shard] {
-        std::optional<obs::TraceSpan> shard_span = obs::MaybeStartSpan(
-            tracer_, "shard.query", obs::ContextOf(scatter));
-        if (shard_span.has_value()) {
-          shard_span->AddTag("shard", static_cast<int64_t>(shard));
-        }
-        std::vector<query::ScoredHit> hits =
-            shards_[shard]->QueryRankedWith(words, k, mode, corpus_stats_,
-                                            obs::ContextOf(shard_span));
-        if (shard_span.has_value()) {
-          shard_span->AddTag("hits", static_cast<int64_t>(hits.size()));
-          shard_span->End();
-        }
-        per_shard[t] = std::move(hits);
-      });
-    }
-    const std::vector<Micros> costs = pool_->RunEpoch(std::move(tasks));
-    for (size_t t = 0; t < targets.size(); ++t) {
-      const size_t shard = targets[t];
-      red_[shard].requests->Increment();
-      red_[shard].duration_us->Record(static_cast<double>(costs[t]));
-      merge_depth_->Record(static_cast<double>(per_shard[t].size()));
-    }
-  } else {
-    Micros slowest = 0;
-    for (size_t t = 0; t < targets.size(); ++t) {
-      const size_t shard = targets[t];
+  std::vector<runtime::TaskPool::Task> tasks;
+  tasks.reserve(targets.size());
+  for (size_t t = 0; t < targets.size(); ++t) {
+    const size_t shard = targets[t];
+    tasks.push_back([&, t, shard] {
       std::optional<obs::TraceSpan> shard_span = obs::MaybeStartSpan(
           tracer_, "shard.query", obs::ContextOf(scatter));
       if (shard_span.has_value()) {
         shard_span->AddTag("shard", static_cast<int64_t>(shard));
       }
-      const Micros start = clock_->Now();
       std::vector<query::ScoredHit> hits =
           shards_[shard]->QueryRankedWith(words, k, mode, corpus_stats_,
                                           obs::ContextOf(shard_span));
-      const Micros cost = clock_->Now() - start;
       if (shard_span.has_value()) {
         shard_span->AddTag("hits", static_cast<int64_t>(hits.size()));
         shard_span->End();
       }
-      red_[shard].requests->Increment();
-      red_[shard].duration_us->Record(static_cast<double>(cost));
-      clock_->RewindTo(start);
-      slowest = std::max(slowest, cost);
-      merge_depth_->Record(static_cast<double>(hits.size()));
       per_shard[t] = std::move(hits);
-    }
-    clock_->Advance(slowest);
+    });
+  }
+  const std::vector<Micros> costs = pool_->RunEpoch(std::move(tasks));
+  for (size_t t = 0; t < targets.size(); ++t) {
+    const size_t shard = targets[t];
+    red_[shard].requests->Increment();
+    red_[shard].duration_us->Record(static_cast<double>(costs[t]));
+    merge_depth_->Record(static_cast<double>(per_shard[t].size()));
   }
 
   // Gather: k-way merge by score. Replicas of one object scored against
@@ -404,24 +371,18 @@ std::vector<ObjectId> ShardRouter::QueryAll(
   for (size_t i = 0; i < active_count_; ++i) {
     if (live_[i]) targets.push_back(i);
   }
+  // The boolean evaluation is pure index CPU (no clock charges), so the
+  // epoch advances the clock by zero and the fan-out buys only
+  // wall-clock parallelism.
   std::vector<std::vector<ObjectId>> per_shard(targets.size());
-  if (pool_ != nullptr && targets.size() > 1) {
-    // Pooled scatter: the boolean evaluation is pure index CPU (no
-    // clock charges), so the epoch advances the clock by zero and the
-    // fan-out buys only wall-clock parallelism.
-    std::vector<runtime::TaskPool::Task> tasks;
-    tasks.reserve(targets.size());
-    for (size_t t = 0; t < targets.size(); ++t) {
-      const size_t shard = targets[t];
-      tasks.push_back(
-          [&, t, shard] { per_shard[t] = shards_[shard]->QueryAll(words); });
-    }
-    pool_->RunEpoch(std::move(tasks));
-  } else {
-    for (size_t t = 0; t < targets.size(); ++t) {
-      per_shard[t] = shards_[targets[t]]->QueryAll(words);
-    }
+  std::vector<runtime::TaskPool::Task> tasks;
+  tasks.reserve(targets.size());
+  for (size_t t = 0; t < targets.size(); ++t) {
+    const size_t shard = targets[t];
+    tasks.push_back(
+        [&, t, shard] { per_shard[t] = shards_[shard]->QueryAll(words); });
   }
+  pool_->RunEpoch(std::move(tasks));
   // Gather: fold in shard order into one ascending, deduplicated list.
   std::vector<ObjectId> merged;
   for (std::vector<ObjectId>& hits : per_shard) {
@@ -468,71 +429,27 @@ std::vector<MiniatureCard> ShardRouter::ScatterCards(
     if (!placed) unrouted.push_back(id);
   }
 
-  // Scatter: every shard builds its share in its own virtual-time frame
-  // (pooled: on a real core; serial: inline while the clock rewinds),
-  // then the gather barrier advances by the slowest shard — the fan-out
-  // runs in parallel in the modeled system.
-  std::vector<MiniatureCard> cards;
-  std::vector<ObjectId> retry_elsewhere = std::move(unrouted);
+  // Scatter: every shard builds its share as one pool task in its own
+  // virtual-time frame, then the gather barrier advances by the slowest
+  // shard — the fan-out runs in parallel in the modeled system. Each
+  // share collects its cards, failed ids and error count into its own
+  // slot; the post-barrier pass folds them — and the RED bookkeeping —
+  // in shard order.
   std::vector<size_t> targets;
   for (size_t shard = 0; shard < shards_.size(); ++shard) {
     if (!share[shard].empty()) targets.push_back(shard);
   }
-  Micros slowest = 0;
-  if (pool_ != nullptr) {
-    // Each share collects its cards, failed ids and error count into
-    // its own slot; the post-barrier pass folds them — and the RED
-    // bookkeeping — in shard order, so results and metrics match the
-    // serial pass exactly.
-    struct ShareResult {
-      std::vector<MiniatureCard> cards;
-      std::vector<ObjectId> retry;
-      int64_t errors = 0;
-    };
-    std::vector<ShareResult> results(targets.size());
-    std::vector<runtime::TaskPool::Task> tasks;
-    tasks.reserve(targets.size());
-    for (size_t t = 0; t < targets.size(); ++t) {
-      const size_t shard = targets[t];
-      tasks.push_back([&, t, shard] {
-        std::optional<obs::TraceSpan> shard_span = obs::MaybeStartSpan(
-            tracer_, "shard.cards", obs::ContextOf(scatter));
-        if (shard_span.has_value()) {
-          shard_span->AddTag("shard", static_cast<int64_t>(shard));
-          shard_span->AddTag("cards",
-                             static_cast<int64_t>(share[shard].size()));
-        }
-        ShareResult& result = results[t];
-        for (ObjectId id : share[shard]) {
-          StatusOr<MiniatureCard> got = shards_[shard]->FetchMiniature(
-              id, thumb_width, obs::ContextOf(shard_span));
-          if (got.ok()) {
-            result.cards.push_back(*std::move(got));
-          } else {
-            ++result.errors;
-            result.retry.push_back(id);
-          }
-        }
-        if (shard_span.has_value()) shard_span->End();
-      });
-    }
-    const std::vector<Micros> costs = pool_->RunEpoch(std::move(tasks));
-    for (size_t t = 0; t < targets.size(); ++t) {
-      const size_t shard = targets[t];
-      ShareResult& result = results[t];
-      if (result.errors > 0) red_[shard].errors->Increment(result.errors);
-      red_[shard].requests->Increment();
-      red_[shard].duration_us->Record(static_cast<double>(costs[t]));
-      slowest = std::max(slowest, costs[t]);
-      for (MiniatureCard& card : result.cards) {
-        cards.push_back(std::move(card));
-      }
-      retry_elsewhere.insert(retry_elsewhere.end(), result.retry.begin(),
-                             result.retry.end());
-    }
-  } else {
-    for (size_t t = 0; t < targets.size(); ++t) {
-      const size_t shard = targets[t];
+  struct ShareResult {
+    std::vector<MiniatureCard> cards;
+    std::vector<ObjectId> retry;
+    int64_t errors = 0;
+  };
+  std::vector<ShareResult> results(targets.size());
+  std::vector<runtime::TaskPool::Task> tasks;
+  tasks.reserve(targets.size());
+  for (size_t t = 0; t < targets.size(); ++t) {
+    const size_t shard = targets[t];
+    tasks.push_back([&, t, shard] {
       std::optional<obs::TraceSpan> shard_span = obs::MaybeStartSpan(
           tracer_, "shard.cards", obs::ContextOf(scatter));
       if (shard_span.has_value()) {
@@ -540,25 +457,36 @@ std::vector<MiniatureCard> ShardRouter::ScatterCards(
         shard_span->AddTag("cards",
                            static_cast<int64_t>(share[shard].size()));
       }
-      const Micros start = clock_->Now();
+      ShareResult& result = results[t];
       for (ObjectId id : share[shard]) {
         StatusOr<MiniatureCard> got = shards_[shard]->FetchMiniature(
             id, thumb_width, obs::ContextOf(shard_span));
         if (got.ok()) {
-          cards.push_back(*std::move(got));
+          result.cards.push_back(*std::move(got));
         } else {
-          red_[shard].errors->Increment();
-          retry_elsewhere.push_back(id);
+          ++result.errors;
+          result.retry.push_back(id);
         }
       }
-      const Micros cost = clock_->Now() - start;
       if (shard_span.has_value()) shard_span->End();
-      red_[shard].requests->Increment();
-      red_[shard].duration_us->Record(static_cast<double>(cost));
-      clock_->RewindTo(start);
-      slowest = std::max(slowest, cost);
+    });
+  }
+  const std::vector<Micros> costs = pool_->RunEpoch(std::move(tasks));
+  std::vector<MiniatureCard> cards;
+  std::vector<ObjectId> retry_elsewhere = std::move(unrouted);
+  Micros slowest = 0;
+  for (size_t t = 0; t < targets.size(); ++t) {
+    const size_t shard = targets[t];
+    ShareResult& result = results[t];
+    if (result.errors > 0) red_[shard].errors->Increment(result.errors);
+    red_[shard].requests->Increment();
+    red_[shard].duration_us->Record(static_cast<double>(costs[t]));
+    slowest = std::max(slowest, costs[t]);
+    for (MiniatureCard& card : result.cards) {
+      cards.push_back(std::move(card));
     }
-    clock_->Advance(slowest);
+    retry_elsewhere.insert(retry_elsewhere.end(), result.retry.begin(),
+                           result.retry.end());
   }
   gather_us_->Record(static_cast<double>(slowest));
 

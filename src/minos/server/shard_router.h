@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "minos/obs/metrics.h"
+#include "minos/runtime/task_pool.h"
 #include "minos/server/object_server.h"
 #include "minos/server/object_store.h"
 #include "minos/server/repair.h"
@@ -62,11 +63,11 @@ struct ShardRouterOptions {
 /// ## Scatter/gather time model
 ///
 /// Shards answer queries in parallel in the modeled system, but all work
-/// runs on one SimClock. GatherCards therefore runs each live shard's
-/// share inline, measures its cost, rewinds, and finally advances the
-/// clock by the slowest shard's cost — the gather barrier. QueryAll
-/// merges the per-shard id lists into one ascending, deduplicated result
-/// (replicas report the same id).
+/// runs on one SimClock. Every scatter therefore runs one task-pool task
+/// per shard, each in its own virtual-time frame, and the epoch barrier
+/// advances the clock by the slowest shard's cost — the gather barrier.
+/// QueryAll merges the per-shard id lists into one ascending,
+/// deduplicated result (replicas report the same id).
 ///
 /// Statistics live under "router.*": scatter_queries, failovers_total,
 /// shards_lost_total, shards_healed_total, rebalances_total,
@@ -185,16 +186,14 @@ class ShardRouter : public ObjectStore {
   /// through each shard, its link), so one tracer sees the whole fabric.
   void SetTracer(obs::Tracer* tracer) override;
 
-  /// Attaches a task pool (borrowed; null restores serial scatters).
-  /// QueryRanked / QueryAll / ScatterCards then issue one task per live
-  /// shard instead of sequential measure-and-rewind passes: each share
-  /// runs in its own virtual-time frame and the gather barrier advances
-  /// the clock by the slowest share — the identical time model, now on
-  /// real cores. The pool is forwarded to every shard (partitioned
-  /// scoring) and, while a router task runs, the routing table is
-  /// pinned: liveness refreshes and failover demotions are deferred to
-  /// the submitting thread, so every share of one scatter routes
-  /// against one table.
+  /// Attaches the task pool QueryRanked / QueryAll / ScatterCards run
+  /// their one task per live shard on (borrowed; null restores the
+  /// router's own zero-worker pool, which runs the shares inline). With
+  /// workers the shares run on real cores and, while a router task runs,
+  /// the routing table is pinned: liveness refreshes and failover
+  /// demotions are deferred to the submitting thread, so every share of
+  /// one scatter routes against one table. The caller's pointer, null
+  /// included, is forwarded to every shard (partitioned scoring).
   void SetTaskPool(runtime::TaskPool* pool) override;
 
   /// Prefetch staging affinity: 1 + the first live replica shard of
@@ -283,8 +282,8 @@ class ShardRouter : public ObjectStore {
  private:
   friend class RepairManager;
   /// Shared scatter engine of both gathers: partitions `matches` by
-  /// first live replica, builds each shard's share inline (clock
-  /// rewound, gather barrier = slowest shard), serially fails over ids
+  /// first live replica, builds each shard's share as one pool task
+  /// (gather barrier = slowest shard), serially fails over ids
   /// whose shard died mid-gather, and drops unreachable ids
   /// (dropped_results_total). Returns cards in arbitrary order.
   std::vector<MiniatureCard> ScatterCards(
@@ -350,7 +349,8 @@ class ShardRouter : public ObjectStore {
   mutable std::vector<bool> live_;
 
   obs::Tracer* tracer_ = nullptr;  // Borrowed; may be null.
-  runtime::TaskPool* pool_ = nullptr;  // Borrowed; null scatters serially.
+  runtime::TaskPool inline_pool_;  // Zero workers: scatters inline.
+  runtime::TaskPool* pool_ = &inline_pool_;  // Borrowed, or inline_pool_.
 
   /// Per-shard RED metrics (rate / errors / duration), registry-owned.
   struct ShardRed {

@@ -139,11 +139,8 @@ void Workstation::EnablePrefetch(PrefetchOptions options) {
   prefetch_options_ = options;
   prefetch_ =
       std::make_unique<PrefetchQueue>(clock_, server_->links(), options);
-  if (pool_ != nullptr) {
-    prefetch_->SetTaskPool(
-        pool_,
-        [this](uint64_t id) { return server_->PrefetchAffinity(id); });
-  }
+  prefetch_->SetTaskPool(
+      pool_, [this](uint64_t id) { return server_->PrefetchAffinity(id); });
   server_->SetBackoffSleeper(prefetch_->MakeBackoffSleeper());
   presentation_.SetBrowseListener(
       [this](const core::PresentationManager::BrowseEvent& event) {

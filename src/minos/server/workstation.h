@@ -185,10 +185,12 @@ class Workstation {
   /// destructor detaches from the borrowed server automatically.
   void SetTracer(obs::Tracer* tracer);
 
-  /// Attaches a task pool (borrowed; null detaches): installed into the
-  /// store (shard scatters, partitioned scoring) and the prefetch queue
+  /// Attaches a task pool (borrowed): installed into the store (shard
+  /// scatters, partitioned scoring) and the prefetch queue
   /// (affinity-grouped background staging keyed by the store's
-  /// PrefetchAffinity). Survives EnablePrefetch in either order.
+  /// PrefetchAffinity). Null restores their defaults: the queue's and a
+  /// router's own zero-worker pools, which run every epoch inline.
+  /// Survives EnablePrefetch in either order.
   void SetTaskPool(runtime::TaskPool* pool);
 
  private:

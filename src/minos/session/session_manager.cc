@@ -29,7 +29,10 @@ const char* SpanNameFor(SessionEvent::Kind kind) {
 
 SessionManager::SessionManager(server::ObjectStore* store, SimClock* clock,
                                SessionOptions options)
-    : store_(store), clock_(clock), options_(options) {
+    : store_(store),
+      clock_(clock),
+      options_(options),
+      inline_pool_(clock, /*workers=*/0) {
   registry_ = options_.registry != nullptr ? options_.registry
                                            : &obs::MetricsRegistry::Default();
   if (options_.prefetch.registry == nullptr) {
@@ -69,15 +72,11 @@ void SessionManager::SetTracer(obs::Tracer* tracer) {
 }
 
 void SessionManager::SetTaskPool(runtime::TaskPool* pool) {
-  pool_ = pool;
+  pool_ = pool != nullptr ? pool : &inline_pool_;
   store_->SetTaskPool(pool);
-  if (pool != nullptr) {
-    queue_->SetTaskPool(pool, [this](uint64_t object_id) {
-      return store_->PrefetchAffinity(object_id);
-    });
-  } else {
-    queue_->SetTaskPool(nullptr, nullptr);
-  }
+  queue_->SetTaskPool(pool, [this](uint64_t object_id) {
+    return store_->PrefetchAffinity(object_id);
+  });
 }
 
 void SessionManager::SetAppendHandler(AppendHandler handler) {
@@ -541,8 +540,10 @@ std::vector<SessionOutcome> SessionManager::PumpEpoch(
   }
 
   // Phase 2a: foreground staging, one task per shard group.
-  if (!groups.empty()) {
-    auto run_group = [&](const std::vector<size_t>& group) {
+  std::vector<runtime::TaskPool::Task> tasks;
+  tasks.reserve(groups.size());
+  for (const std::vector<size_t>& group : groups) {
+    tasks.push_back([&] {
       for (size_t i : group) {
         Session& s = *Find(events[i].session);
         stage_status[i] = StagePage(s, prep[i].target, span_ctx[i]);
@@ -551,24 +552,9 @@ std::vector<SessionOutcome> SessionManager::PumpEpoch(
         stage_end[i] = clock_->Now() - now0;
         if (stage_status[i].ok()) s.delivered.insert(prep[i].target);
       }
-    };
-    if (pool_ != nullptr) {
-      std::vector<runtime::TaskPool::Task> tasks;
-      tasks.reserve(groups.size());
-      for (const std::vector<size_t>& group : groups) {
-        tasks.push_back([&run_group, &group] { run_group(group); });
-      }
-      pool_->RunEpoch(std::move(tasks));
-    } else {
-      Micros max_total = 0;
-      for (const std::vector<size_t>& group : groups) {
-        SimClock::Frame frame(clock_, now0);
-        run_group(group);
-        max_total = std::max(max_total, frame.elapsed());
-      }
-      clock_->AdvanceTo(now0 + max_total);
-    }
+    });
   }
+  pool_->RunEpoch(std::move(tasks));
 
   // Phase 2b: the serial front-end lane (searches, appends, closes) in
   // one frame — these contend on shared state (query stats, catalog,

@@ -121,9 +121,9 @@ struct SessionOptions {
 ///     in a private clock frame, so concurrent waits overlap).
 ///  2. Staging: events that missed prefetch stage their page bytes in
 ///     the foreground, grouped by shard affinity — groups run as one
-///     TaskPool epoch (or inline frames without a pool), so different
-///     shards overlap while one shard's arm serializes. Searches,
-///     appends and closes run serially in a "front-end" frame.
+///     TaskPool epoch, so different shards overlap while one shard's
+///     arm serializes. Searches, appends and closes run serially in a
+///     "front-end" frame.
 ///  3. Serial post-pass, in submission order: book per-event latency,
 ///     finish event spans at their virtual completion time, schedule
 ///     new speculation within each session's budget, and pump the
@@ -159,8 +159,10 @@ class SessionManager {
   /// the store underneath, so one session is one connected span tree.
   void SetTracer(obs::Tracer* tracer);
 
-  /// Attaches a task pool (borrowed; null restores serial epochs) to
-  /// the manager, the store and the prefetch queue.
+  /// Attaches a task pool (borrowed) to the manager, the store and the
+  /// prefetch queue. Null restores each one's default: the manager's
+  /// and the queue's own zero-worker pools, which run every epoch
+  /// inline, and whatever the store does without a pool.
   void SetTaskPool(runtime::TaskPool* pool);
 
   void SetAppendHandler(AppendHandler handler);
@@ -274,7 +276,8 @@ class SessionManager {
   SimClock* clock_;
   SessionOptions options_;
   obs::MetricsRegistry* registry_;
-  runtime::TaskPool* pool_ = nullptr;
+  runtime::TaskPool inline_pool_;            ///< Zero workers.
+  runtime::TaskPool* pool_ = &inline_pool_;  ///< Borrowed, or inline.
   obs::Tracer* tracer_ = nullptr;
   AppendHandler append_;
   std::unique_ptr<server::PrefetchQueue> queue_;

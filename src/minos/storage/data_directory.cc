@@ -1,5 +1,7 @@
 #include "minos/storage/data_directory.h"
 
+#include <algorithm>
+
 #include "minos/util/coding.h"
 
 namespace minos::storage {
@@ -74,7 +76,9 @@ StatusOr<DataDirectory> DataDirectory::Deserialize(std::string_view bytes) {
   uint64_t n = 0;
   MINOS_RETURN_IF_ERROR(dec.GetVarint64(&n));
   DataDirectory dir;
-  dir.entries_.reserve(n);
+  // Every entry takes at least seven bytes, so a forged count cannot
+  // reserve more than the input could hold.
+  dir.entries_.reserve(std::min<uint64_t>(n, dec.remaining() / 7));
   for (uint64_t i = 0; i < n; ++i) {
     Entry e;
     MINOS_RETURN_IF_ERROR(dec.GetLengthPrefixed(&e.name));

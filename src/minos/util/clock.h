@@ -120,12 +120,11 @@ class SimClock final : public Clock {
   }
 
   /// Returns to an earlier absolute time (no-op when `t` is not in the
-  /// past). The prefetch pipeline and the scatter/gather router use this:
-  /// they run overlapping work inline on the shared clock, measure its
-  /// cost, and rewind so the foreground never observes the stall — the
-  /// work is modeled as overlapping presentation time. Inside a task-pool
-  /// frame a rewind never goes below the frame's start: the frame's cost
-  /// contribution stays non-negative.
+  /// past). The prefetch pipeline uses this: each staging task measures
+  /// its work's cost and rewinds so the foreground never observes the
+  /// stall — the work is modeled as overlapping presentation time. Inside
+  /// a task-pool frame a rewind never goes below the frame's start: the
+  /// frame's cost contribution stays non-negative.
   void RewindTo(Micros t) {
     if (Frame* f = CurrentFrame()) {
       const Micros floor = f->start_;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "minos/util/coding.h"
+
 namespace minos::storage {
 namespace {
 
@@ -65,6 +67,11 @@ TEST(DataDirectoryTest, DeserializeRejectsTruncation) {
   auto restored =
       DataDirectory::Deserialize(std::string_view(bytes).substr(0, 3));
   EXPECT_FALSE(restored.ok());
+  // An entry count far beyond what the bytes could hold is a truncation
+  // too, not an allocation sized by the forged count.
+  std::string huge_count;
+  PutVarint64(&huge_count, uint64_t{1} << 61);
+  EXPECT_TRUE(DataDirectory::Deserialize(huge_count).status().IsCorruption());
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "minos/util/coding.h"
+
 namespace minos::image {
 namespace {
 
@@ -157,6 +159,17 @@ TEST(GraphicsImageTest, DeserializeRejectsTruncation) {
   const std::string bytes = img.Serialize();
   EXPECT_FALSE(
       GraphicsImage::Deserialize(std::string_view(bytes).substr(0, 8)).ok());
+  // One object whose vertex count is far beyond what the bytes could
+  // hold: a truncation, not an allocation sized by the forged count.
+  std::string forged;
+  PutVarint32(&forged, 200);  // Width.
+  PutVarint32(&forged, 200);  // Height.
+  PutVarint32(&forged, 2);    // Next id.
+  PutVarint64(&forged, 1);    // Objects.
+  PutVarint32(&forged, 1);    // Object id.
+  forged.push_back(static_cast<char>(ShapeKind::kPolygon));
+  PutVarint64(&forged, uint64_t{1} << 61);  // Vertices.
+  EXPECT_TRUE(GraphicsImage::Deserialize(forged).status().IsCorruption());
 }
 
 }  // namespace

@@ -601,7 +601,7 @@ TEST(SessionManagerTest, StormIsBitIdenticalAcrossWorkerCounts) {
   const StormResult base = RunStorm(1);
   ASSERT_TRUE(base.counters.count("session.reaped_total") > 0);
   ASSERT_TRUE(base.counters.count("session.admission_queued_total") > 0);
-  for (int workers : {2, 4}) {
+  for (int workers : {0, 2, 4}) {
     const StormResult run = RunStorm(workers);
     EXPECT_EQ(run.elapsed, base.elapsed) << workers << " workers";
     EXPECT_EQ(run.digest, base.digest) << workers << " workers";

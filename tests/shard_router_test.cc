@@ -1,7 +1,8 @@
 // The sharded-archive router: deterministic placement, scatter/gather
 // merge ordering, breaker-driven failover to replicas, heal-time
-// rebalancing, whole-chain loss degrading the presentation, and the
-// prefetch pipeline exercising the scheduler's background lane.
+// rebalancing, whole-chain loss degrading the presentation, scatters
+// that agree at every worker count (inline included), and the prefetch
+// pipeline exercising the scheduler's background lane.
 
 #include "minos/server/shard_router.h"
 
@@ -11,9 +12,11 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "minos/core/visual_browser.h"
+#include "minos/runtime/task_pool.h"
 #include "minos/server/workstation.h"
 #include "minos/storage/request_scheduler.h"
 #include "minos/text/formatter.h"
@@ -53,6 +56,20 @@ TEST(ShardPlacementTest, RangePlacementPartitionsByIdWithClamp) {
 
 // --- A sharded stack ---------------------------------------------------
 
+/// A one-page archived text object.
+MultimediaObject TextObject(ObjectId id, const std::string& body) {
+  MultimediaObject obj(id);
+  text::MarkupParser parser;
+  auto doc = parser.Parse(".PP\n" + body + "\n");
+  EXPECT_TRUE(doc.ok());
+  EXPECT_TRUE(obj.SetTextPart(std::move(doc).value()).ok());
+  VisualPageSpec page;
+  page.text_page = 1;
+  obj.descriptor().pages.push_back(page);
+  EXPECT_TRUE(obj.Archive().ok());
+  return obj;
+}
+
 /// One shard's full server stack: its own device, archiver, versions and
 /// link, so per-shard faults and breakers stay independent.
 struct ShardStack {
@@ -84,19 +101,6 @@ class ShardRouterTest : public ::testing::Test {
     for (auto& stack : stacks_) servers.push_back(&stack->server);
     router_.emplace(servers, &clock_, RangePlacement(ids_per_shard),
                     ShardRouterOptions{});
-  }
-
-  MultimediaObject TextObject(ObjectId id, const std::string& body) {
-    MultimediaObject obj(id);
-    text::MarkupParser parser;
-    auto doc = parser.Parse(".PP\n" + body + "\n");
-    EXPECT_TRUE(doc.ok());
-    EXPECT_TRUE(obj.SetTextPart(std::move(doc).value()).ok());
-    VisualPageSpec page;
-    page.text_page = 1;
-    obj.descriptor().pages.push_back(page);
-    EXPECT_TRUE(obj.Archive().ok());
-    return obj;
   }
 
   /// Trips shard `i`'s breaker open by recording failures directly.
@@ -271,6 +275,96 @@ TEST_F(ShardRouterTest, WholeChainLossDegradesInsteadOfCrashing) {
   auto cards = router_->GatherCards({"unreachable"});
   ASSERT_TRUE(cards.ok());
   EXPECT_TRUE(cards->empty());
+}
+
+// --- Worker counts -----------------------------------------------------
+
+/// Everything a scatter run lets a caller observe.
+struct ScatterRun {
+  Micros elapsed = 0;
+  std::vector<std::pair<ObjectId, double>> ranked;
+  std::vector<ObjectId> all;
+  std::vector<ObjectId> cards;
+  std::vector<std::pair<std::string, int64_t>> counters;
+  std::string trace;
+};
+
+/// Drives ranked, boolean and card scatters over three shards on a pool
+/// of `workers` threads, under one traced root. Shard 1's link drops
+/// every transfer, so its card share fails mid-scatter and the router
+/// fails those ids over to their replicas.
+ScatterRun RunScatter(int workers) {
+  SimClock clock;
+  obs::Tracer tracer(&clock);
+  FaultProfile profile;
+  profile.drop_rate = 1.0;
+  FaultInjector injector(profile, 7, &clock);
+  std::vector<std::unique_ptr<ShardStack>> stacks;
+  std::vector<ObjectServer*> servers;
+  for (int i = 0; i < 3; ++i) {
+    stacks.push_back(std::make_unique<ShardStack>(&clock));
+    servers.push_back(&stacks.back()->server);
+  }
+  obs::MetricsRegistry registry;
+  ShardRouterOptions options;
+  options.replication = 2;
+  options.registry = &registry;
+  ShardRouter router(servers, &clock, RangePlacement(10), options);
+  for (ObjectId id = 1; id <= 15; ++id) {
+    const std::string parity = id % 2 == 0 ? "even" : "odd";
+    const std::string body =
+        "scatter " + parity + " body " + std::to_string(id);
+    EXPECT_TRUE(router.Store(TextObject(id, body)).ok());
+  }
+  stacks[1]->link.SetFaultInjector(&injector);
+  router.SetTracer(&tracer);
+  runtime::TaskPool pool(&clock, workers);
+  router.SetTaskPool(&pool);
+
+  ScatterRun run;
+  const Micros start = clock.Now();
+  obs::TraceSpan root = tracer.StartSpan("scatter.root", obs::TraceContext{});
+  const std::vector<std::vector<std::string>> word_sets = {
+      {"scatter"}, {"even", "body"}, {"odd"}};
+  for (const std::vector<std::string>& words : word_sets) {
+    const std::vector<query::ScoredHit> hits = router.QueryRanked(
+        words, 6, query::QueryMode::kDisjunctive, root.context());
+    for (const query::ScoredHit& hit : hits) {
+      run.ranked.emplace_back(hit.id, hit.score);
+    }
+    for (ObjectId id : router.QueryAll(words)) run.all.push_back(id);
+    auto cards = router.GatherCards(words, 96, root.context());
+    EXPECT_TRUE(cards.ok());
+    if (cards.ok()) {
+      for (const MiniatureCard& card : *cards) run.cards.push_back(card.id);
+    }
+  }
+  root.End();
+  run.elapsed = clock.Now() - start;
+  run.counters = registry.Snapshot().counters;
+  run.trace = tracer.ToJson();
+  return run;
+}
+
+TEST(ShardRouterWorkersTest, ScatterIsIdenticalOnEveryWorkerCount) {
+  const ScatterRun inline_run = RunScatter(0);
+  // The fault path ran: shard 1's share failed and its ids failed over.
+  obs::MetricsSnapshot counters;
+  counters.counters = inline_run.counters;
+  EXPECT_GT(counters.CounterValue("router.shard1.errors_total"), 0);
+  EXPECT_GT(counters.CounterValue("router.failovers_total"), 0);
+  EXPECT_FALSE(inline_run.ranked.empty());
+  EXPECT_FALSE(inline_run.cards.empty());
+  for (int workers : {1, 2, 4}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    const ScatterRun run = RunScatter(workers);
+    EXPECT_EQ(run.elapsed, inline_run.elapsed);
+    EXPECT_EQ(run.ranked, inline_run.ranked);
+    EXPECT_EQ(run.all, inline_run.all);
+    EXPECT_EQ(run.cards, inline_run.cards);
+    EXPECT_EQ(run.counters, inline_run.counters);
+    EXPECT_EQ(run.trace, inline_run.trace);
+  }
 }
 
 // --- Scheduler lanes ---------------------------------------------------

@@ -84,14 +84,28 @@ TEST(TaskPoolTest, TaskFramesIsolateAndRewindsClampToFrameStart) {
 
 TEST(TaskPoolTest, InTaskOnlyInsideTasks) {
   SimClock clock;
-  TaskPool pool(&clock, 2);
   EXPECT_FALSE(TaskPool::InTask());
-  bool inside = false;
-  std::vector<TaskPool::Task> tasks;
-  tasks.push_back([&inside] { inside = TaskPool::InTask(); });
-  pool.RunEpoch(std::move(tasks));
-  EXPECT_TRUE(inside);
-  EXPECT_FALSE(TaskPool::InTask());
+  // Records InTask() inside each of `n` tasks on a pool of `workers`.
+  auto inside = [&clock](int workers, size_t n) {
+    TaskPool pool(&clock, workers);
+    EXPECT_EQ(pool.worker_count(), workers);
+    std::vector<int> seen(n, -1);
+    std::vector<TaskPool::Task> tasks;
+    for (size_t i = 0; i < n; ++i) {
+      tasks.push_back([&seen, i] { seen[i] = TaskPool::InTask(); });
+    }
+    pool.RunEpoch(std::move(tasks));
+    EXPECT_FALSE(TaskPool::InTask());
+    return seen;
+  };
+  EXPECT_EQ(inside(2, 2), std::vector<int>({1, 1}));
+  // One task on one worker runs on the submitting thread, still as a
+  // pool task.
+  EXPECT_EQ(inside(1, 1), std::vector<int>({1}));
+  // A zero-worker pool's inline tasks are not pool tasks, so routing-
+  // table maintenance inside them behaves as in serial code.
+  EXPECT_EQ(inside(0, 2), std::vector<int>({0, 0}));
+  EXPECT_EQ(inside(0, 1), std::vector<int>({0}));
 }
 
 TEST(TaskPoolTest, NestedEpochRunsInlineWithSameAlgebra) {
@@ -163,6 +177,7 @@ uint64_t RunSeededGraph(int workers, uint64_t seed) {
 
 TEST(TaskPoolTest, WorkerCountDeterminism) {
   const uint64_t one = RunSeededGraph(1, 0xC0FFEE);
+  EXPECT_EQ(RunSeededGraph(0, 0xC0FFEE), one);
   EXPECT_EQ(RunSeededGraph(2, 0xC0FFEE), one);
   EXPECT_EQ(RunSeededGraph(4, 0xC0FFEE), one);
   EXPECT_NE(RunSeededGraph(4, 0xBEEF), one);  // The seed does matter.
@@ -244,33 +259,38 @@ TEST(TaskPoolTest, BackToBackEpochsNeverClaimAcrossGenerations) {
 }
 
 TEST(TaskPoolTest, LowestIndexExceptionPropagatesAndPoolSurvives) {
-  SimClock clock;
-  TaskPool pool(&clock, 4);
-  std::vector<TaskPool::Task> tasks;
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 8; ++i) {
-    tasks.push_back([&clock, &ran, i] {
-      ran.fetch_add(1, std::memory_order_relaxed);
-      clock.Sleep(10 + i);
-      if (i == 5) throw std::runtime_error("task five");
-      if (i == 2) throw std::runtime_error("task two");
-    });
+  // Zero workers run the epoch inline; it must still run every task
+  // before rethrowing, unlike a plain loop that stops at the first throw.
+  for (int workers : {4, 0}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    SimClock clock;
+    TaskPool pool(&clock, workers);
+    std::vector<TaskPool::Task> tasks;
+    std::atomic<int> ran{0};
+    for (int i = 0; i < 8; ++i) {
+      tasks.push_back([&clock, &ran, i] {
+        ran.fetch_add(1, std::memory_order_relaxed);
+        clock.Sleep(10 + i);
+        if (i == 5) throw std::runtime_error("task five");
+        if (i == 2) throw std::runtime_error("task two");
+      });
+    }
+    try {
+      pool.RunEpoch(std::move(tasks));
+      FAIL() << "epoch with throwing tasks did not throw";
+    } catch (const std::runtime_error& err) {
+      EXPECT_STREQ(err.what(), "task two");  // Lowest index wins.
+    }
+    // Every task still ran and the clock still advanced by the slowest.
+    EXPECT_EQ(ran.load(), 8);
+    EXPECT_EQ(clock.Now(), 17);
+    // The pool is reusable after a throwing epoch.
+    std::vector<TaskPool::Task> again;
+    again.push_back([&clock] { clock.Sleep(3); });
+    const std::vector<Micros> costs = pool.RunEpoch(std::move(again));
+    EXPECT_EQ(costs[0], 3);
+    EXPECT_EQ(clock.Now(), 20);
   }
-  try {
-    pool.RunEpoch(std::move(tasks));
-    FAIL() << "epoch with throwing tasks did not throw";
-  } catch (const std::runtime_error& err) {
-    EXPECT_STREQ(err.what(), "task two");  // Lowest index wins.
-  }
-  // Every task still ran and the clock still advanced by the slowest.
-  EXPECT_EQ(ran.load(), 8);
-  EXPECT_EQ(clock.Now(), 17);
-  // The pool is reusable after a throwing epoch.
-  std::vector<TaskPool::Task> again;
-  again.push_back([&clock] { clock.Sleep(3); });
-  const std::vector<Micros> costs = pool.RunEpoch(std::move(again));
-  EXPECT_EQ(costs[0], 3);
-  EXPECT_EQ(clock.Now(), 20);
 }
 
 object::MultimediaObject TextObject(storage::ObjectId id,

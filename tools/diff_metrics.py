@@ -4,8 +4,8 @@
 Usage:
     diff_metrics.py BASELINE.json OTHER.json [OTHER.json ...]
 
-The determinism-matrix gate: the same bench run at --workers 1, 2 and 4
-must emit bit-identical metric values. Every file's counters, gauges
+The determinism-matrix gate: the same bench run at --workers 0, 1, 2
+and 4 must emit bit-identical metric values. Every file's counters, gauges
 and histograms sections — plus the bench name and sim_time_us header —
 are serialized canonically (sorted keys, exact number text) and
 compared against the first file. The `workers` header field is the one
