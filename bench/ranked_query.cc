@@ -3,7 +3,8 @@
 // documents (heavy term frequency) across the id space while many
 // low-relevance documents mention the query term once near the front of
 // the id range — the shape where the unranked id-order strip shows the
-// user mostly noise. Three gates:
+// user mostly noise. Every gate runs even when an earlier one fails;
+// the bench then exits 1 and lists each failed gate. The first three:
 //
 //   1. Quality: precision@10 of the ranked strip strictly beats the
 //      id-order strip against the planted ground truth.
@@ -136,6 +137,10 @@ int Run() {
   std::unique_ptr<Topology> four = BuildTopology(4, bench::Workers());
   server::ShardRouter& router = *four->router;
   SimClock& clock = four->clock;
+  // A failing gate is recorded here and the bench goes on, so it never
+  // hides the verdicts and gauges of the gates after it. A setup error
+  // (a refused Store, fetch or Append) still exits at once.
+  std::vector<std::string> failed;
 
   // --- Gate 1: precision@10, ranked vs id order ------------------------
   const std::vector<query::ScoredHit> ranked =
@@ -155,10 +160,11 @@ int Run() {
     std::printf("FAIL: ranked precision %.2f does not beat id order "
                 "%.2f\n",
                 p_ranked, p_id);
-    return 1;
+    failed.push_back("1: precision");
+  } else {
+    std::printf("gate: ranked strip is more relevant than the id-order "
+                "strip\n");
   }
-  std::printf("gate: ranked strip is more relevant than the id-order "
-              "strip\n");
 
   // --- Gate 2: top-10 card latency, ranked vs id order -----------------
   // Both paths deliver exactly kTopK miniature cards; the ranked one
@@ -201,7 +207,7 @@ int Run() {
       bench::EmitTraceSnapshot("ranked_query", tracer, ranked_total);
   if (!trace_gate.ok()) {
     std::printf("FAIL: %s\n", trace_gate.ToString().c_str());
-    return 1;
+    failed.push_back("2: trace reconciliation");
   }
   const double unranked_ms =
       static_cast<double>(unranked_total) / kRounds / 1000.0;
@@ -216,21 +222,22 @@ int Run() {
               kTopK, unranked_ms, ranked_ms, ratio);
   if (!(ratio <= 1.5)) {
     std::printf("FAIL: ranked latency ratio %.2f exceeds 1.5x\n", ratio);
-    return 1;
+    failed.push_back("2: latency ratio");
+  } else {
+    std::printf("gate: ranked top-%zu stays within 1.5x of id-order\n",
+                kTopK);
   }
-  std::printf("gate: ranked top-%zu stays within 1.5x of id-order\n",
-              kTopK);
 
   // --- Gate 3: 1-shard vs 4-shard identity -----------------------------
   std::unique_ptr<Topology> one = BuildTopology(1, bench::Workers());
   const std::vector<query::ScoredHit> single =
       one->router->QueryRanked(query, kTopK);
-  if (single.size() != ranked.size()) {
+  bool identical = single.size() == ranked.size();
+  if (!identical) {
     std::printf("FAIL: 1-shard returned %zu hits, 4-shard %zu\n",
                 single.size(), ranked.size());
-    return 1;
   }
-  for (size_t i = 0; i < single.size(); ++i) {
+  for (size_t i = 0; identical && i < single.size(); ++i) {
     if (single[i].id != ranked[i].id ||
         single[i].score != ranked[i].score) {
       std::printf("FAIL: rank %zu diverges: 1-shard (%llu, %.6f) vs "
@@ -239,11 +246,15 @@ int Run() {
                   single[i].score,
                   static_cast<unsigned long long>(ranked[i].id),
                   ranked[i].score);
-      return 1;
+      identical = false;
     }
   }
-  std::printf("gate: 1-shard and 4-shard ranked results are "
-              "identical\n");
+  if (identical) {
+    std::printf("gate: 1-shard and 4-shard ranked results are "
+                "identical\n");
+  } else {
+    failed.push_back("3: 1-shard vs 4-shard identity");
+  }
   Micros total_sim_time = four->clock.Now() + one->clock.Now();
 
   // --- Gate 4: worker-count determinism --------------------------------
@@ -292,6 +303,7 @@ int Run() {
     };
     const MatrixRun base = run_matrix(1);
     total_sim_time += base.elapsed;
+    bool deterministic = true;
     for (int workers : {2, 4}) {
       const MatrixRun run = run_matrix(workers);
       total_sim_time += run.elapsed;
@@ -310,11 +322,15 @@ int Run() {
                     static_cast<long long>(base.elapsed),
                     run.counter_deltas.size(),
                     base.counter_deltas.size());
-        return 1;
+        deterministic = false;
       }
     }
-    std::printf("gate: workers {1,2,4} return identical top-%zu "
-                "ids/scores and counter deltas\n", kTopK);
+    if (deterministic) {
+      std::printf("gate: workers {1,2,4} return identical top-%zu "
+                  "ids/scores and counter deltas\n", kTopK);
+    } else {
+      failed.push_back("4: worker-count determinism");
+    }
   }
 
   // --- Gate 5: wall-clock speedup curve --------------------------------
@@ -362,17 +378,18 @@ int Run() {
                   static_cast<long long>(virtual_us[0]),
                   static_cast<long long>(virtual_us[1]),
                   static_cast<long long>(virtual_us[2]));
-      return 1;
+      failed.push_back("5: virtual time across worker counts");
     }
     if (std::thread::hardware_concurrency() >= 4) {
       if (!(speedup4 >= 1.8) || !(speedup2 >= 1.0)) {
         std::printf("FAIL: speedup curve not monotonic >=1.8x at 4 "
                     "workers (2w %.2fx, 4w %.2fx)\n",
                     speedup2, speedup4);
-        return 1;
+        failed.push_back("5: wall speedup");
+      } else {
+        std::printf("gate: 4-worker ranked gather is %.2fx the 1-worker "
+                    "wall time\n", speedup4);
       }
-      std::printf("gate: 4-worker ranked gather is %.2fx the 1-worker "
-                  "wall time\n", speedup4);
     } else {
       std::printf("gate: speedup advisory only (%u hardware threads "
                   "< 4)\n", std::thread::hardware_concurrency());
@@ -417,6 +434,7 @@ int Run() {
       size_t exhaustive_scanned = 0;
     };
     ScalePoint points[2] = {{10000}, {100000}};
+    const size_t failed_before = failed.size();
     for (ScalePoint& point : points) {
       query::ScoredIndex index;
       build_catalog(point.docs, &index);
@@ -424,14 +442,14 @@ int Run() {
           index, index, scale_query, kTopK, query::QueryMode::kDisjunctive);
       const query::RankedQuery fast = pruned_engine.TopK(
           index, index, scale_query, kTopK, query::QueryMode::kDisjunctive);
-      if (fast.hits.size() != exact.hits.size()) {
+      bool exact_hits = fast.hits.size() == exact.hits.size();
+      if (!exact_hits) {
         std::printf("FAIL: %zu-doc pruned top-%zu returned %zu hits, "
                     "exhaustive %zu\n",
                     point.docs, kTopK, fast.hits.size(),
                     exact.hits.size());
-        return 1;
       }
-      for (size_t i = 0; i < fast.hits.size(); ++i) {
+      for (size_t i = 0; exact_hits && i < fast.hits.size(); ++i) {
         if (fast.hits[i].id != exact.hits[i].id ||
             fast.hits[i].score != exact.hits[i].score) {
           std::printf("FAIL: %zu-doc rank %zu diverges: pruned "
@@ -441,9 +459,10 @@ int Run() {
                       fast.hits[i].score,
                       static_cast<unsigned long long>(exact.hits[i].id),
                       exact.hits[i].score);
-          return 1;
+          exact_hits = false;
         }
       }
+      if (!exact_hits) failed.push_back("6: pruned top-k exactness");
       point.scanned = fast.postings_scanned;
       point.exhaustive_scanned = exact.postings_scanned;
       point.cost =
@@ -477,16 +496,18 @@ int Run() {
     if (!(visit_fraction < 0.5)) {
       std::printf("FAIL: pruned scan visits %.0f%% of exhaustive at "
                   "100k docs (need < 50%%)\n", visit_fraction * 100.0);
-      return 1;
+      failed.push_back("6: visit fraction");
     }
     if (!(cost_growth < 1.0)) {
       std::printf("FAIL: per-query scoring cost grew %.2fx relative to "
                   "catalog size (need sublinear)\n", cost_growth);
-      return 1;
+      failed.push_back("6: sublinear cost");
     }
-    std::printf("gate: 100k-object top-%zu visits %.0f%% of exhaustive "
-                "postings and scales sublinearly\n",
-                kTopK, visit_fraction * 100.0);
+    if (failed.size() == failed_before) {
+      std::printf("gate: 100k-object top-%zu visits %.0f%% of exhaustive "
+                  "postings and scales sublinearly\n",
+                  kTopK, visit_fraction * 100.0);
+    }
   }
 
   // --- Gate 7: Append reaches ranked results via the delta path --------
@@ -515,23 +536,33 @@ int Run() {
         ->Set(static_cast<double>(full_adds));
     reg.gauge("ranked_query.append_stats_delta_applies")
         ->Set(static_cast<double>(delta_applies));
+    const size_t failed_before = failed.size();
     if (appended.size() != 1 || appended[0].id != 4) {
       std::printf("FAIL: appended term did not surface in ranked "
                   "results (%zu hits)\n", appended.size());
-      return 1;
+      failed.push_back("7: append visible to ranked queries");
     }
     if (full_adds != 0 || delta_applies != 1) {
       std::printf("FAIL: append took the rebuild path (full_adds=%lld, "
                   "delta_applies=%lld; want 0 and 1)\n",
                   static_cast<long long>(full_adds),
                   static_cast<long long>(delta_applies));
-      return 1;
+      failed.push_back("7: stats delta path");
     }
-    std::printf("gate: Append surfaces in ranked results via one stats "
-                "delta, zero rebuilds\n");
+    if (failed.size() == failed_before) {
+      std::printf("gate: Append surfaces in ranked results via one stats "
+                  "delta, zero rebuilds\n");
+    }
   }
 
   bench::NoteSimTime(total_sim_time);
+  if (!failed.empty()) {
+    std::printf("FAILED %zu gate(s):\n", failed.size());
+    for (const std::string& gate : failed) {
+      std::printf("  gate %s\n", gate.c_str());
+    }
+    return 1;
+  }
   return 0;
 }
 

@@ -18,17 +18,17 @@ void ScoredIndex::AddTerm(storage::ObjectId id, const std::string& term,
                           double text_weight, double voice_weight,
                           std::vector<std::string>* new_terms) {
   if (term.empty()) return;
+  TermEntry& entry = terms_[term];
   if (!stats_only_) {
-    TermPosting& posting = postings_[term][id];
+    TermPosting& posting = entry.postings[id];
     posting.text_tf += text_weight;
     posting.voice_tf += voice_weight;
-    double& max_tf = max_tf_[term];
-    max_tf = std::max(max_tf, posting.tf());
+    entry.max_tf = std::max(entry.max_tf, posting.tf());
   }
   std::vector<std::string>& terms = doc_terms_[id];
   if (std::find(terms.begin(), terms.end(), term) == terms.end()) {
     terms.push_back(term);
-    ++doc_freq_[term];
+    ++entry.df;
     if (new_terms != nullptr) new_terms->push_back(term);
   }
   lengths_[id] += text_weight + voice_weight;
@@ -43,8 +43,10 @@ void ScoredIndex::FloorHolderLengths(storage::ObjectId id,
   // shrinks), so the floor stays valid without ever being revisited.
   const double len = lengths_[id];
   for (const std::string& term : terms) {
-    auto [it, inserted] = min_len_.try_emplace(term, len);
-    if (!inserted) it->second = std::min(it->second, len);
+    TermEntry& entry = terms_.find(term)->second;
+    // `id` is a new holder of each of `terms`: when it is the only one,
+    // its length is the floor.
+    entry.min_len = entry.df == 1 ? len : std::min(entry.min_len, len);
   }
 }
 
@@ -110,7 +112,7 @@ void ScoredIndex::ApplyDelta(const IndexDelta& delta) {
   }
   std::vector<std::string>& terms = doc_terms_[delta.id];
   for (const std::string& term : delta.new_terms) {
-    ++doc_freq_[term];
+    ++terms_[term].df;
     terms.push_back(term);
   }
   lengths_[delta.id] += delta.length_delta;
@@ -122,30 +124,22 @@ void ScoredIndex::Remove(storage::ObjectId id) {
   if (terms_it == doc_terms_.end()) return;
   version_.fetch_add(1, std::memory_order_acq_rel);
   for (const std::string& term : terms_it->second) {
-    auto df = doc_freq_.find(term);
-    if (df != doc_freq_.end() && --df->second == 0) doc_freq_.erase(df);
-    auto posting = postings_.find(term);
-    if (posting != postings_.end()) {
-      posting->second.erase(id);
-      if (posting->second.empty()) {
-        postings_.erase(posting);
-        max_tf_.erase(term);
-        min_len_.erase(term);
-      } else {
-        // The departing posting may have carried either bound:
-        // recompute over the survivors (rare path — only re-stores
-        // come here).
-        double max_tf = 0;
-        double min_len = std::numeric_limits<double>::max();
-        for (const auto& [rest_id, rest] : posting->second) {
-          max_tf = std::max(max_tf, rest.tf());
-          auto len = lengths_.find(rest_id);
-          min_len = std::min(
-              min_len, len != lengths_.end() ? len->second : 0.0);
-        }
-        max_tf_[term] = max_tf;
-        min_len_[term] = min_len;
-      }
+    auto it = terms_.find(term);
+    if (it == terms_.end()) continue;
+    TermEntry& entry = it->second;
+    if (--entry.df == 0) {
+      terms_.erase(it);
+      continue;
+    }
+    if (stats_only_) continue;
+    entry.postings.erase(id);
+    // The departing posting may have carried either bound: recompute
+    // over the survivors (rare path — only re-stores come here).
+    entry.max_tf = 0;
+    entry.min_len = std::numeric_limits<double>::max();
+    for (const auto& [rest_id, rest] : entry.postings) {
+      entry.max_tf = std::max(entry.max_tf, rest.tf());
+      entry.min_len = std::min(entry.min_len, DocLength(rest_id));
     }
   }
   auto length = lengths_.find(id);
@@ -157,26 +151,11 @@ void ScoredIndex::Remove(storage::ObjectId id) {
   --stats_.doc_count;
 }
 
-const ScoredIndex::PostingMap& ScoredIndex::Postings(
+const ScoredIndex::TermEntry& ScoredIndex::Entry(
     std::string_view term) const {
-  static const PostingMap* empty = new PostingMap();
-  auto it = postings_.find(term);
-  return it == postings_.end() ? *empty : it->second;
-}
-
-uint64_t ScoredIndex::DocFreq(std::string_view term) const {
-  auto it = doc_freq_.find(term);
-  return it == doc_freq_.end() ? 0 : it->second;
-}
-
-double ScoredIndex::MaxTf(std::string_view term) const {
-  auto it = max_tf_.find(term);
-  return it == max_tf_.end() ? 0.0 : it->second;
-}
-
-double ScoredIndex::MinDocLen(std::string_view term) const {
-  auto it = min_len_.find(term);
-  return it == min_len_.end() ? 0.0 : it->second;
+  static const TermEntry* absent = new TermEntry();
+  auto it = terms_.find(term);
+  return it == terms_.end() ? *absent : it->second;
 }
 
 double ScoredIndex::DocLength(storage::ObjectId id) const {

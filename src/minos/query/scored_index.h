@@ -73,12 +73,12 @@ struct IndexDelta {
   }
 };
 
-/// The scored content index built at insertion time (§2: recognition and
+/// The content index built at insertion time (§2: recognition and
 /// indexing happen when an object is stored, never at browsing time).
 /// It unifies the same two sources text::WordIndex already unifies —
 /// text-document words and recognized voice utterances — but keeps term
-/// frequencies and media provenance instead of bare positions, which is
-/// what turns boolean content queries into ranked ones.
+/// frequencies and media provenance instead of bare positions. Boolean
+/// queries intersect its posting lists; ranked queries score them.
 ///
 /// A stats-only index (the ShardRouter's) keeps document frequencies and
 /// lengths but no postings: enough to serve global BM25 statistics
@@ -114,16 +114,18 @@ class ScoredIndex {
   void ApplyDelta(const IndexDelta& delta);
 
   /// Postings of a folded term; empty map when absent or stats-only.
-  const PostingMap& Postings(std::string_view term) const;
+  const PostingMap& Postings(std::string_view term) const {
+    return Entry(term).postings;
+  }
 
   /// Number of objects whose content contains the folded term.
-  uint64_t DocFreq(std::string_view term) const;
+  uint64_t DocFreq(std::string_view term) const { return Entry(term).df; }
 
   /// Upper bound on any single posting's tf() for the folded term (0
   /// when absent or stats-only). Maintained incrementally by
   /// Add/Append, recomputed on Remove — what the max-score pruned
   /// scorer turns into a per-term score ceiling.
-  double MaxTf(std::string_view term) const;
+  double MaxTf(std::string_view term) const { return Entry(term).max_tf; }
 
   /// Lower bound on the weighted length of any document holding the
   /// folded term (0 — the most conservative floor — when absent or
@@ -132,13 +134,15 @@ class ScoredIndex {
   /// caps the term's BM25 contribution: tf·(k1+1)/(tf+norm) is
   /// increasing in tf and decreasing in norm, so evaluating it at
   /// (MaxTf, MinDocLen) bounds every real posting.
-  double MinDocLen(std::string_view term) const;
+  double MinDocLen(std::string_view term) const {
+    return Entry(term).min_len;
+  }
 
   /// Weighted content length of `id` (0 when unknown).
   double DocLength(storage::ObjectId id) const;
 
   const CorpusStats& stats() const { return stats_; }
-  size_t vocabulary_size() const { return doc_freq_.size(); }
+  size_t vocabulary_size() const { return terms_.size(); }
   bool stats_only() const { return stats_only_; }
 
   /// Monotonic mutation counter, bumped by every Add/Remove that changes
@@ -158,6 +162,20 @@ class ScoredIndex {
   std::vector<storage::ObjectId> PartitionPoints(size_t parts) const;
 
  private:
+  /// Everything the index knows about one term. A stats-only index
+  /// fills only `df`.
+  struct TermEntry {
+    uint64_t df = 0;  ///< Documents holding the term.
+    /// The max-score pruning bounds: the largest posting tf() and the
+    /// shortest holder length.
+    double max_tf = 0;
+    double min_len = 0;
+    PostingMap postings;
+  };
+
+  /// The term's entry; an empty one (all zero) when absent.
+  const TermEntry& Entry(std::string_view term) const;
+
   /// Folds one term occurrence into `id`. When `new_terms` is non-null,
   /// terms the object did not contain before are appended to it (the
   /// delta an incremental Append reports).
@@ -173,13 +191,8 @@ class ScoredIndex {
   bool stats_only_;
   std::atomic<uint64_t> version_{0};
   CorpusStats stats_;
-  std::map<std::string, PostingMap, std::less<>> postings_;
-  std::map<std::string, uint64_t, std::less<>> doc_freq_;
-  /// Per-term max posting tf() and min holder length — the max-score
-  /// pruning bounds. Empty for stats-only indexes (no postings,
-  /// nothing to bound).
-  std::map<std::string, double, std::less<>> max_tf_;
-  std::map<std::string, double, std::less<>> min_len_;
+  /// One entry per term with df > 0.
+  std::map<std::string, TermEntry, std::less<>> terms_;
   std::map<storage::ObjectId, double> lengths_;
   /// Distinct terms per object — what Remove must unwind.
   std::map<storage::ObjectId, std::vector<std::string>> doc_terms_;

@@ -1,6 +1,7 @@
 #include "minos/server/object_server.h"
 
 #include <algorithm>
+#include <set>
 #include <utility>
 
 #include "minos/format/archive_mailer.h"
@@ -21,14 +22,6 @@ ObjectServer::ObjectServer(storage::Archiver* archiver,
                            storage::VersionStore* versions, SimClock* clock,
                            Link* link)
     : archiver_(archiver), versions_(versions), clock_(clock), link_(link) {}
-
-void ObjectServer::IndexWords(ObjectId id, std::string_view text) {
-  for (const std::string& w : SplitWords(text)) {
-    std::string folded = FoldWord(w);
-    if (folded.empty()) continue;
-    index_[std::move(folded)].insert(id);
-  }
-}
 
 StatusOr<ArchiveAddress> ObjectServer::Store(const MultimediaObject& obj) {
   MINOS_ASSIGN_OR_RETURN(std::string bytes, obj.SerializeArchived());
@@ -67,22 +60,11 @@ Status ObjectServer::CatalogObject(const MultimediaObject& obj,
     // Content index: text words, attribute values, and the words the
     // voice recognizer produced at insertion time (we index the
     // spoken-word ground truth; a limited-vocabulary deployment would
-    // index the Recognizer's output instead).
-    if (obj.has_text()) IndexWords(obj.id(), obj.text_part().contents());
-    for (const auto& [k, v] : obj.attributes()) {
-      IndexWords(obj.id(), v);
-    }
-    if (obj.has_voice()) {
-      for (const voice::WordAlignment& w :
-           obj.voice_part().track().words) {
-        IndexWords(obj.id(), w.word);
-      }
-    }
-
-    // Scored index: the same two sources, but with term frequencies and
+    // index the Recognizer's output instead), with term frequencies and
     // media provenance kept, voice postings weighted by the recognizer
-    // profile's confidence. Built here — at insertion time — so ranked
-    // browsing never pays recognition or indexing cost.
+    // profile's confidence. Built here — at insertion time — so browsing
+    // never pays recognition or indexing cost. Re-adding an id replaces
+    // its previous version's terms.
     scored_index_.Add(obj, query::VoiceConfidence(recognizer_profile_));
   }
   ++catalog_version_;
@@ -178,10 +160,10 @@ StatusOr<ObjectServer::AppendResult> ObjectServer::Append(
   MINOS_RETURN_IF_ERROR(next.Archive());
   MINOS_ASSIGN_OR_RETURN(std::string bytes, next.SerializeArchived());
 
-  // Device write FIRST. Nothing — catalog, version lineage, word
-  // index, scored index, catalog_version_ — has been touched yet, so a
-  // write fault rolls the whole Append back by construction: no
-  // phantom df entries, no stale-address catalog entry.
+  // Device write FIRST. Nothing — catalog, version lineage, content
+  // index, catalog_version_ — has been touched yet, so a write fault
+  // rolls the whole Append back by construction: no phantom df
+  // entries, no stale-address catalog entry.
   MINOS_ASSIGN_OR_RETURN(ArchiveAddress addr, archiver_->Append(bytes));
   MINOS_RETURN_IF_ERROR(archiver_->Flush());
 
@@ -189,13 +171,9 @@ StatusOr<ObjectServer::AppendResult> ObjectServer::Append(
   MINOS_RETURN_IF_ERROR(CatalogObject(next, bytes, addr, version,
                                       Crc32(bytes), /*reindex=*/false));
   // Incremental content indexing: only the appended words are walked —
-  // the existing postings keep their weights untouched. The scored
-  // index hands back the df/length delta the router's catalog-wide
-  // statistics apply in place of a full re-add.
-  IndexWords(id, parts.text);
-  for (const voice::WordAlignment& w : parts.voice.words) {
-    IndexWords(id, w.word);
-  }
+  // the existing postings keep their weights untouched. The index hands
+  // back the df/length delta the router's catalog-wide statistics apply
+  // in place of a full re-add.
   query::AppendedContent content;
   content.text = parts.text;
   content.voice_words = parts.voice.words;
@@ -268,7 +246,7 @@ StatusOr<bool> ObjectServer::AcceptReplica(ObjectId id, uint32_t version,
       }
       // Same version, divergent bytes: the local image failed its
       // checksum somewhere (media rot). Replace the image, keep the
-      // indexes — the logical content is unchanged.
+      // index — the logical content is unchanged.
       reindex = false;
     }
   }
@@ -312,31 +290,20 @@ StatusOr<std::string> ObjectServer::ReadObjectBytes(ObjectId id) const {
   return mailer.ResolvePointers(std::move(bytes));
 }
 
-std::vector<ObjectId> ObjectServer::Query(std::string_view word) const {
-  obs::MetricsRegistry::Default().counter("server.queries")->Increment();
-  std::vector<ObjectId> out;
-  // Fold with the routine the index was built with, so "Chapter" and
-  // "chapter," hit the "chapter" posting list alike.
-  auto it = index_.find(FoldWord(word));
-  if (it == index_.end()) return out;
-  out.assign(it->second.begin(), it->second.end());
-  return out;
-}
-
 std::vector<ObjectId> ObjectServer::QueryAll(
     const std::vector<std::string>& words) const {
   std::vector<ObjectId> result;
-  bool first = true;
-  for (const std::string& w : words) {
-    std::vector<ObjectId> hits = Query(w);
-    if (first) {
-      result = std::move(hits);
-      first = false;
+  for (size_t i = 0; i < words.size(); ++i) {
+    obs::MetricsRegistry::Default().counter("server.queries")->Increment();
+    // Fold with the routine the index was built with, so "Chapter" and
+    // "chapter," hit the "chapter" posting list alike.
+    const query::ScoredIndex::PostingMap& postings =
+        scored_index_.Postings(FoldWord(words[i]));
+    if (i == 0) {
+      for (const auto& [id, posting] : postings) result.push_back(id);
     } else {
-      std::vector<ObjectId> merged;
-      std::set_intersection(result.begin(), result.end(), hits.begin(),
-                            hits.end(), std::back_inserter(merged));
-      result = std::move(merged);
+      std::erase_if(result,
+                    [&](ObjectId id) { return !postings.contains(id); });
     }
     if (result.empty()) break;
   }

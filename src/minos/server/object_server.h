@@ -2,7 +2,6 @@
 #define MINOS_SERVER_OBJECT_SERVER_H_
 
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -81,8 +80,8 @@ class ObjectServer : public ObjectStore {
   /// Ingest ---------------------------------------------------------------
 
   /// Archives an object (must be in archived state) and indexes its
-  /// content for queries — both the boolean word index and the scored
-  /// index ranked retrieval reads. Returns the archive address.
+  /// content for boolean and ranked queries. Re-storing an id replaces
+  /// its indexed content. Returns the archive address.
   StatusOr<storage::ArchiveAddress> Store(
       const object::MultimediaObject& obj) override;
 
@@ -112,13 +111,13 @@ class ObjectServer : public ObjectStore {
   ///
   /// Ordering is write-first: the device write happens before any
   /// catalog, index, or version mutation, so a write fault rolls back
-  /// by construction — a failed Append leaves the word index, the
-  /// scored index (no phantom df entries), the catalog, and
-  /// catalog_version() exactly as they were. After a successful write
-  /// the indexes update *incrementally*: only the appended words are
-  /// walked, never the whole object, and the returned delta carries the
-  /// df/length changes global statistics need. Bumps catalog_version()
-  /// so workstation ranked-result caches invalidate.
+  /// by construction — a failed Append leaves the content index (no
+  /// phantom df entries), the catalog, and catalog_version() exactly as
+  /// they were. After a successful write the index updates
+  /// *incrementally*: only the appended words are walked, never the
+  /// whole object, and the returned delta carries the df/length changes
+  /// global statistics need. Bumps catalog_version() so workstation
+  /// ranked-result caches invalidate.
   StatusOr<AppendResult> Append(storage::ObjectId id,
                                 const AppendParts& parts);
 
@@ -166,11 +165,10 @@ class ObjectServer : public ObjectStore {
 
   /// Queries --------------------------------------------------------------
 
-  /// Objects whose text content, attribute values, or recognized voice
-  /// words contain `word` (case-insensitive whole-word match).
-  std::vector<storage::ObjectId> Query(std::string_view word) const;
-
-  /// Conjunctive query: objects matching all words (unranked, id order).
+  /// Conjunctive query: objects whose text content, attribute values, or
+  /// recognized voice words contain every word (case-insensitive
+  /// whole-word match; unranked, id order). Intersects the posting lists
+  /// of the index ranked queries score.
   std::vector<storage::ObjectId> QueryAll(
       const std::vector<std::string>& words) const override;
 
@@ -191,7 +189,7 @@ class ObjectServer : public ObjectStore {
 
   uint64_t catalog_version() const override { return catalog_version_; }
 
-  /// The local scored index (introspection / stats for tests).
+  /// The local content index (introspection / stats for tests).
   const query::ScoredIndex& scored_index() const { return scored_index_; }
 
   /// Builds the miniature card of an object (rendered server-side,
@@ -293,11 +291,10 @@ class ObjectServer : public ObjectStore {
   };
 
   StatusOr<const CatalogEntry*> Lookup(storage::ObjectId id) const;
-  void IndexWords(storage::ObjectId id, std::string_view text);
 
   /// Shared Store / AcceptReplica tail: parses the descriptor out of
   /// the serialized bytes, installs the catalog entry and (when
-  /// `reindex` is set) feeds the word and scored indexes.
+  /// `reindex` is set) feeds the content index.
   Status CatalogObject(const object::MultimediaObject& obj,
                        const std::string& bytes,
                        storage::ArchiveAddress addr, uint32_t version,
@@ -340,8 +337,7 @@ class ObjectServer : public ObjectStore {
   BackoffSleeper backoff_sleeper_;  // Null: backoff advances the clock.
   Random retry_rng_{0x5EED0FCA};  // Seeded backoff jitter: replayable.
   std::map<storage::ObjectId, CatalogEntry> catalog_;
-  std::map<std::string, std::set<storage::ObjectId>, std::less<>> index_;
-  query::ScoredIndex scored_index_;      // Ranked-retrieval postings.
+  query::ScoredIndex scored_index_;  // The content index.
   voice::RecognizerParams recognizer_profile_;
   uint64_t catalog_version_ = 0;  // Bumped per successful Store.
 };

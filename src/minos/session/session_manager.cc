@@ -13,6 +13,11 @@ namespace minos::session {
 
 namespace {
 
+/// Pages speculated per settled event, spaced by the learned stride.
+constexpr int kSpeculateDepth = 2;
+/// Top-k for ranked searches.
+constexpr size_t kSearchK = 8;
+
 const char* SpanNameFor(SessionEvent::Kind kind) {
   switch (kind) {
     case SessionEvent::Kind::kSearch: return "session.search";
@@ -350,7 +355,7 @@ void SessionManager::Speculate(Session& s) {
     page_bytes = it->second.page_bytes;
   }
   const int stride = EffectiveStride(s);
-  for (int k = 1; k <= options_.speculate_depth; ++k) {
+  for (int k = 1; k <= kSpeculateDepth; ++k) {
     const int p = s.page + stride * k;
     if (p < 1 || p > s.page_count) break;
     if (s.delivered.count(p) > 0) continue;
@@ -500,8 +505,8 @@ std::vector<SessionOutcome> SessionManager::PumpEpoch(
                          : s->page + ev.delta;
         target = std::clamp(target, 1, count);
         if (ev.kind == SessionEvent::Kind::kJump) {
-          const int radius = std::max(1, std::abs(EffectiveStride(*s))) *
-                             std::max(1, options_.speculate_depth);
+          const int radius =
+              std::max(1, std::abs(EffectiveStride(*s))) * kSpeculateDepth;
           queue_->CancelWhere([&](const server::PrefetchKey& key) {
             return key.owner == s->id &&
                    key.kind == server::PrefetchKind::kVisualPage &&
@@ -570,7 +575,7 @@ std::vector<SessionOutcome> SessionManager::PumpEpoch(
           case SessionEvent::Kind::kSearch: {
             s->state = SessionState::kSearching;
             const std::vector<query::ScoredHit> hits = store_->QueryRanked(
-                ev.words, options_.search_k, query::QueryMode::kDisjunctive,
+                ev.words, kSearchK, query::QueryMode::kDisjunctive,
                 span_ctx[i]);
             outcomes[i].results = hits.size();
             s->state = SessionState::kBrowsing;

@@ -90,14 +90,10 @@ struct SessionOptions {
   /// queue. A skimmer that hits its budget simply stops speculating
   /// until entries are consumed or evicted — it cannot starve readers.
   uint64_t prefetch_budget_bytes = 256 * 1024;
-  /// Pages speculated per settled event, spaced by the learned stride.
-  int speculate_depth = 2;
   /// Link leases per affinity group (shard). An Open that finds its
   /// shard's pool exhausted is deferred (retry next epoch), so one
   /// shard's fan-in is bounded.
   int streams_per_shard = 16;
-  /// Top-k for ranked searches.
-  size_t search_k = 8;
   /// Knobs for the shared prefetch queue the manager owns.
   server::PrefetchOptions prefetch;
   /// Statistics registry (the process default when null).
@@ -266,7 +262,7 @@ class SessionManager {
   /// Background flavor for prefetch work: same ranges, no session state.
   Status StagePageBackground(storage::ObjectId object, int page);
 
-  /// Schedules up to speculate_depth pages ahead at the learned stride,
+  /// Schedules up to kSpeculateDepth pages ahead at the learned stride,
   /// within the session's prefetch budget.
   void Speculate(Session& s);
 

@@ -2,7 +2,6 @@
 
 #include "minos/image/image.h"
 #include "minos/image/miniature.h"
-#include "minos/image/tour.h"
 #include "minos/image/view.h"
 
 namespace minos::image {
@@ -181,18 +180,6 @@ TEST(ViewTest, GrowingViewEncountersNewLabels) {
   view.set_voice_option(true);
   auto labels = view.Resize(500, 400);  // Now covers everything.
   EXPECT_EQ(labels.size(), 2u);
-}
-
-TEST(TourTest, RectAtUsesFixedSize) {
-  Tour tour(80, 60);
-  tour.AddStop(TourStop{{10, 20}, std::nullopt, std::nullopt,
-                        SecondsToMicros(1)});
-  tour.AddStop(TourStop{{50, 60}, std::nullopt, "a message", {}});
-  EXPECT_EQ(tour.size(), 2u);
-  auto r = tour.RectAt(1);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r, (Rect{50, 60, 80, 60}));
-  EXPECT_TRUE(tour.RectAt(2).status().IsOutOfRange());
 }
 
 }  // namespace

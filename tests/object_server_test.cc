@@ -109,6 +109,10 @@ TEST_F(ObjectServerTest, FetchVersionReadsHistoricalCopies) {
   EXPECT_EQ(current->text_part().contents(), v2->text_part().contents());
   EXPECT_TRUE(server_.FetchVersion(1, 3).status().IsNotFound());
   EXPECT_TRUE(server_.FetchVersion(9, 1).status().IsNotFound());
+  // Content queries see only the current version: the re-store dropped
+  // "one", so the object no longer matches it.
+  EXPECT_TRUE(server_.QueryAll({"one"}).empty());
+  EXPECT_EQ(server_.QueryAll({"two"}), (std::vector<storage::ObjectId>{1}));
 }
 
 TEST_F(ObjectServerTest, ContentQueryByTextWord) {
@@ -118,12 +122,12 @@ TEST_F(ObjectServerTest, ContentQueryByTextWord) {
       server_.Store(TextObject(2, "memo about the subway line")).ok());
   ASSERT_TRUE(
       server_.Store(TextObject(3, "hospital budget for the year")).ok());
-  EXPECT_EQ(server_.Query("hospital"),
+  EXPECT_EQ(server_.QueryAll({"hospital"}),
             (std::vector<storage::ObjectId>{1, 3}));
-  EXPECT_EQ(server_.Query("subway"), (std::vector<storage::ObjectId>{2}));
-  EXPECT_TRUE(server_.Query("airport").empty());
+  EXPECT_EQ(server_.QueryAll({"subway"}), (std::vector<storage::ObjectId>{2}));
+  EXPECT_TRUE(server_.QueryAll({"airport"}).empty());
   // Case-insensitive.
-  EXPECT_EQ(server_.Query("HOSPITAL").size(), 2u);
+  EXPECT_EQ(server_.QueryAll({"HOSPITAL"}).size(), 2u);
 }
 
 TEST_F(ObjectServerTest, QueryMatchesAttributesAndVoice) {
@@ -131,8 +135,8 @@ TEST_F(ObjectServerTest, QueryMatchesAttributesAndVoice) {
   ASSERT_TRUE(
       server_.Store(AudioObject(2, "dictated findings about the fracture"))
           .ok());
-  EXPECT_EQ(server_.Query("memo"), (std::vector<storage::ObjectId>{1}));
-  EXPECT_EQ(server_.Query("fracture"),
+  EXPECT_EQ(server_.QueryAll({"memo"}), (std::vector<storage::ObjectId>{1}));
+  EXPECT_EQ(server_.QueryAll({"fracture"}),
             (std::vector<storage::ObjectId>{2}));
 }
 

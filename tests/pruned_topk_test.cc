@@ -3,18 +3,25 @@
 // worker counts 1/2/4, the pruned scorer must return bit-identical ids
 // AND bit-identical scores to the exhaustive reference scorer — pruning
 // is an optimization, never an approximation — while actually skipping
-// postings on selective disjunctive queries.
+// postings on selective disjunctive queries. The index itself is held
+// to a brute-force model under re-adds, appends and removals.
 
 #include "minos/query/query_engine.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "minos/object/multimedia_object.h"
 #include "minos/query/scored_index.h"
 #include "minos/runtime/task_pool.h"
+#include "minos/text/document.h"
 #include "minos/util/random.h"
+#include "minos/voice/voice_document.h"
 
 namespace minos::query {
 namespace {
@@ -185,6 +192,166 @@ TEST(PrunedTopKProperty, AppendBuiltIndexMatchesAddBuiltStatistics) {
       engine.TopK(postings, stats, {"w3", "w15"}, 8,
                   QueryMode::kDisjunctive);
   ExpectBitIdentical(global, local, "stats-mirror");
+}
+
+/// The brute-force model of one indexed document: its terms with their
+/// tf, and its weighted length.
+struct ModelDoc {
+  std::map<std::string, double> tf;
+  double length = 0;
+};
+
+/// Checks `index` (postings) and `mirror` (stats-only) against `model`
+/// over the whole vocabulary, held and absent terms alike.
+void ExpectMatchesModel(const ScoredIndex& index, const ScoredIndex& mirror,
+                        const std::map<ObjectId, ModelDoc>& model,
+                        size_t vocab, const std::string& label) {
+  double total_length = 0;
+  for (const auto& [id, doc] : model) {
+    total_length += doc.length;
+    EXPECT_EQ(index.DocLength(id), doc.length) << label << " id=" << id;
+    EXPECT_EQ(mirror.DocLength(id), doc.length) << label << " id=" << id;
+  }
+  for (const ScoredIndex* ix : {&index, &mirror}) {
+    EXPECT_EQ(ix->stats().doc_count, model.size()) << label;
+    EXPECT_DOUBLE_EQ(ix->stats().total_length, total_length) << label;
+  }
+  size_t held = 0;
+  for (size_t w = 0; w < vocab; ++w) {
+    const std::string term = "w" + std::to_string(w);
+    const std::string at = label + " term=" + term;
+    std::map<ObjectId, double> holders;
+    for (const auto& [id, doc] : model) {
+      const auto it = doc.tf.find(term);
+      if (it != doc.tf.end()) holders[id] = it->second;
+    }
+    if (!holders.empty()) ++held;
+    EXPECT_EQ(index.DocFreq(term), holders.size()) << at;
+    EXPECT_EQ(mirror.DocFreq(term), holders.size()) << at;
+    const ScoredIndex::PostingMap& postings = index.Postings(term);
+    ASSERT_EQ(postings.size(), holders.size()) << at;
+    double max_tf = 0;
+    auto holder = holders.begin();
+    for (const auto& [id, posting] : postings) {
+      EXPECT_EQ(id, holder->first) << at;
+      EXPECT_EQ(posting.tf(), holder->second) << at << " id=" << id;
+      EXPECT_LE(index.MinDocLen(term), index.DocLength(id))
+          << at << " id=" << id;
+      max_tf = std::max(max_tf, posting.tf());
+      ++holder;
+    }
+    EXPECT_EQ(index.MaxTf(term), max_tf) << at;
+    if (holders.empty()) {
+      EXPECT_EQ(index.MinDocLen(term), 0.0) << at;
+    }
+    EXPECT_TRUE(mirror.Postings(term).empty()) << at;
+    EXPECT_EQ(mirror.MaxTf(term), 0.0) << at;
+    EXPECT_EQ(mirror.MinDocLen(term), 0.0) << at;
+  }
+  EXPECT_EQ(index.vocabulary_size(), held) << label;
+  EXPECT_EQ(mirror.vocabulary_size(), held) << label;
+}
+
+TEST(PrunedTopKProperty, IndexMatchesBruteForceModelUnderReAddsAndAppends) {
+  // Seeded random interleavings of Add (fresh ids and re-adds, which
+  // drop the words the new version lacks), Append (new and existing
+  // ids) and Remove on a postings index, mirrored into a stats-only
+  // index the way the ShardRouter keeps one: Add as Add, Append as
+  // ApplyDelta of its delta. After every step both must agree with a
+  // plain model, and pruned top-k with exhaustive top-k.
+  constexpr size_t kVocab = 12;
+  // Voice weight 0.5 and text weight 1.0 are exact in binary, so the
+  // model's sums are bit-identical to the index's.
+  constexpr double kVoice = 0.5;
+  const QueryEngine exhaustive({}, ScoringStrategy::kExhaustive);
+  const QueryEngine pruned({}, ScoringStrategy::kMaxScore);
+  for (const uint64_t seed : {3u, 17u, 2024u}) {
+    ScoredIndex index;
+    ScoredIndex mirror(/*stats_only=*/true);
+    std::map<ObjectId, ModelDoc> model;
+    ObjectId next_id = 1;
+    Random rng(seed);
+    auto random_words = [&rng] {
+      std::vector<std::string> words(rng.Uniform(7));
+      for (std::string& word : words) {
+        const size_t pick =
+            (rng.Uniform(kVocab) * rng.Uniform(kVocab)) / kVocab;
+        word = "w" + std::to_string(pick);
+      }
+      return words;
+    };
+    for (int step = 0; step < 150; ++step) {
+      const uint64_t op = rng.Uniform(10);
+      ObjectId id = next_id;
+      if (!model.empty() && (op == 9 || rng.Uniform(2) == 0)) {
+        id = std::next(model.begin(), static_cast<std::ptrdiff_t>(
+                                          rng.Uniform(model.size())))
+                 ->first;
+      } else {
+        ++next_id;
+      }
+      std::string op_name;
+      if (op == 9 && model.count(id) > 0) {
+        op_name = "remove";
+        index.Remove(id);
+        mirror.Remove(id);
+        model.erase(id);
+      } else {
+        const std::vector<std::string> text_words = random_words();
+        std::vector<voice::WordAlignment> voice_words;
+        for (std::string& word : random_words()) {
+          voice::WordAlignment alignment;
+          alignment.word = std::move(word);
+          voice_words.push_back(std::move(alignment));
+        }
+        std::string text;
+        for (const std::string& word : text_words) text += word + " ";
+        ModelDoc& doc = model[id];
+        if (op < 5) {
+          op_name = "add";
+          object::MultimediaObject obj(id);
+          text::Document body;
+          body.AppendText(text);
+          ASSERT_TRUE(obj.SetTextPart(std::move(body)).ok());
+          voice::VoiceTrack track;
+          track.words = voice_words;
+          ASSERT_TRUE(
+              obj.SetVoicePart(voice::VoiceDocument(std::move(track))).ok());
+          index.Add(obj, kVoice);
+          mirror.Add(obj, kVoice);
+          doc = {};
+        } else {
+          op_name = "append";
+          AppendedContent content;
+          content.text = text;
+          content.voice_words = voice_words;
+          mirror.ApplyDelta(index.Append(id, content, kVoice));
+        }
+        // The index folds text words first, then voice words.
+        for (const std::string& word : text_words) {
+          doc.tf[word] += 1.0;
+          doc.length += 1.0;
+        }
+        for (const voice::WordAlignment& word : voice_words) {
+          doc.tf[word.word] += kVoice;
+          doc.length += kVoice;
+        }
+      }
+      const std::string label = "seed=" + std::to_string(seed) +
+                                " step=" + std::to_string(step) + " " +
+                                op_name + " id=" + std::to_string(id);
+      ExpectMatchesModel(index, mirror, model, kVocab, label);
+      const std::vector<std::string> words = RandomQuery(&rng, kVocab);
+      const size_t k = 1 + rng.Uniform(6);
+      for (const QueryMode mode :
+           {QueryMode::kConjunctive, QueryMode::kDisjunctive}) {
+        ExpectBitIdentical(
+            pruned.TopK(index, mirror, words, k, mode),
+            exhaustive.TopK(index, mirror, words, k, mode),
+            label + (mode == QueryMode::kConjunctive ? " conj" : " disj"));
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -157,9 +157,9 @@ TEST_F(RankedQueryTest, QueryWordsFoldLikeTheIndexDoes) {
   ASSERT_TRUE(
       server_.Store(TextObject(1, "the restoration Chapter, begins")).ok());
   const std::vector<ObjectId> expected{1};
-  EXPECT_EQ(server_.Query("chapter"), expected);
-  EXPECT_EQ(server_.Query("Chapter"), expected);
-  EXPECT_EQ(server_.Query("CHAPTER,"), expected);
+  EXPECT_EQ(server_.QueryAll({"chapter"}), expected);
+  EXPECT_EQ(server_.QueryAll({"Chapter"}), expected);
+  EXPECT_EQ(server_.QueryAll({"CHAPTER,"}), expected);
   EXPECT_EQ(server_.QueryAll({"chapter."}), expected);
   ASSERT_EQ(server_.QueryRanked({"Chapter,"}, 5).size(), 1u);
   EXPECT_DOUBLE_EQ(server_.QueryRanked({"Chapter,"}, 5)[0].score,
