@@ -80,6 +80,7 @@ constexpr int kEpochs = 12;
 struct ClassMeans {
   double sum[4] = {0, 0, 0, 0};  ///< open, turn, search, append (us).
   int n[4] = {0, 0, 0, 0};
+  Micros sim_time = 0;  ///< Virtual time the run consumed.
 
   double Ms(int c) const { return n[c] != 0 ? sum[c] / n[c] / 1000.0 : 0; }
 };
@@ -176,6 +177,7 @@ ClassMeans RunMix(int users, size_t shards) {
     }
     clock.Advance(MillisToMicros(150));
   }
+  out.sim_time = clock.Now();
   return out;
 }
 
@@ -185,15 +187,18 @@ int Run() {
   std::printf("%-8s %-8s %-10s %-10s %-10s %-10s\n", "users", "shards",
               "open_ms", "turn_ms", "search_ms", "append_ms");
   double open_1shard_48 = 0, open_4shard_48 = 0;
+  Micros total_sim_time = 0;
   for (int users : {4, 16, 48}) {
     for (size_t shards : {size_t{1}, size_t{4}}) {
       const ClassMeans m = RunMix(users, shards);
+      total_sim_time += m.sim_time;
       std::printf("%-8d %-8zu %-10.1f %-10.1f %-10.1f %-10.1f\n", users,
                   shards, m.Ms(0), m.Ms(1), m.Ms(2), m.Ms(3));
       if (users == 48 && shards == 1) open_1shard_48 = m.Ms(0);
       if (users == 48 && shards == 4) open_4shard_48 = m.Ms(0);
     }
   }
+  bench::NoteSimTime(total_sim_time);
   if (!(open_4shard_48 < open_1shard_48)) {
     std::printf("FAIL: 4-shard opens at 48 users (%.1fms) are not cheaper "
                 "than 1-shard opens (%.1fms)\n",

@@ -7,7 +7,9 @@
 // circuit breaker trips) and requires the surviving shards to keep
 // serving complete query results with bounded latency, the prefetch
 // pipeline to keep staging pages over the failover route, and the dead
-// shard to rejoin after its breaker cooldown.
+// shard to rejoin after its breaker cooldown. Every gate runs even when
+// an earlier one fails; the bench then exits 1 and lists each failed
+// gate. A setup error (a refused Store) still exits at once.
 
 #include <chrono>
 #include <cstdio>
@@ -223,11 +225,15 @@ int Run() {
                      "scatter/gather throughput vs shard count");
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   Micros total_sim_time = 0;
+  // A failing gate is recorded here and the bench goes on, so it never
+  // hides the verdicts and gauges of the gates after it.
+  std::vector<std::string> failed;
 
   // --- Phase 1: throughput sweep over shard counts ----------------------
   std::printf("%-8s %-12s %-12s %-10s\n", "shards", "query_ms", "qps",
               "cards");
   std::vector<double> qps_by_n;
+  bool complete = true;  // Every sweep query gathered every card.
   for (size_t n = 1; n <= 4; ++n) {
     SimClock clock;
     std::vector<std::unique_ptr<ShardStack>> stacks;
@@ -254,9 +260,9 @@ int Run() {
       if (!got.ok() || got->size() != kObjects) {
         std::printf("FAIL: %zu-shard query returned %zu cards\n", n,
                     got.ok() ? got->size() : 0);
-        return 1;
+        complete = false;
       }
-      cards = got->size();
+      cards = got.ok() ? got->size() : 0;
       query_us->Record(static_cast<double>(clock.Now() - start));
     }
     const Micros elapsed = clock.Now() - sweep_start;
@@ -270,15 +276,21 @@ int Run() {
                 cards);
     total_sim_time += clock.Now();
   }
+  if (!complete) failed.push_back("1: complete sweep results");
+  bool monotonic = true;
   for (size_t n = 1; n < qps_by_n.size(); ++n) {
     if (!(qps_by_n[n] > qps_by_n[n - 1])) {
       std::printf("FAIL: throughput is not monotonic: %zu shards %.2f qps "
                   "<= %zu shards %.2f qps\n",
                   n + 1, qps_by_n[n], n, qps_by_n[n - 1]);
-      return 1;
+      monotonic = false;
     }
   }
-  std::printf("gate: throughput scales monotonically 1->4 shards\n");
+  if (monotonic) {
+    std::printf("gate: throughput scales monotonically 1->4 shards\n");
+  } else {
+    failed.push_back("1: monotonic throughput");
+  }
 
   // --- Phase 2: single-shard loss on a four-shard fabric ----------------
   // Paged objects give the prefetch pipeline pages to stage while one
@@ -325,7 +337,7 @@ int Run() {
   const double healthy_ms = run_queries(6) / 1000.0;
   if (healthy_ms < 0) {
     std::printf("FAIL: healthy 4-shard query lost cards\n");
-    return 1;
+    failed.push_back("2: healthy 4-shard results");
   }
 
   // Kill shard 0: every transfer drops, so its breaker trips open after
@@ -343,9 +355,10 @@ int Run() {
       reg.counter("router.failovers_total")->value();
   const double tripping_ms = run_queries(1) / 1000.0;  // Trips the breaker.
   const double loss_ms = run_queries(5) / 1000.0;      // Steady-state loss.
+  const size_t loss_failed_before = failed.size();
   if (tripping_ms < 0 || loss_ms < 0) {
     std::printf("FAIL: query lost cards during single-shard loss\n");
-    return 1;
+    failed.push_back("2: results during shard loss");
   }
   const int64_t failovers =
       reg.counter("router.failovers_total")->value() - failovers_before;
@@ -357,17 +370,19 @@ int Run() {
     std::printf("FAIL: shard loss not visible in the routing table "
                 "(live=%zu failovers=%lld)\n",
                 router.live_count(), static_cast<long long>(failovers));
-    return 1;
+    failed.push_back("2: shard loss in the routing table");
   }
   if (!(loss_ms < 3.0 * healthy_ms)) {
     std::printf("FAIL: steady-state loss latency %.1fms is not bounded "
                 "(healthy %.1fms)\n",
                 loss_ms, healthy_ms);
-    return 1;
+    failed.push_back("2: bounded loss latency");
   }
-  std::printf("gate: one dead shard keeps serving, steady latency "
-              "%.1fms < 3x healthy %.1fms\n",
-              loss_ms, healthy_ms);
+  if (failed.size() == loss_failed_before) {
+    std::printf("gate: one dead shard keeps serving, steady latency "
+                "%.1fms < 3x healthy %.1fms\n",
+                loss_ms, healthy_ms);
+  }
 
   // Browse an object whose primary is the dead shard: the prefetch
   // pipeline must keep staging pages over the failover route.
@@ -381,41 +396,47 @@ int Run() {
   server::Workstation workstation(&router, &screen, &clock);
   workstation.EnablePrefetch(server::PrefetchOptions{});
   workstation.SetTaskPool(&pool);
+  core::VisualBrowser* vb = nullptr;
   if (!workstation.Present(1).ok()) {  // Primary of id 1 is dead shard 0.
     std::printf("FAIL: presenting a dead-primary object did not fail "
                 "over to its replica\n");
-    return 1;
+    failed.push_back("3: dead-primary failover");
+  } else {
+    vb = workstation.presentation().visual_browser();
+    if (vb == nullptr) return 1;
   }
-  core::VisualBrowser* vb = workstation.presentation().visual_browser();
-  if (vb == nullptr) return 1;
-  for (int i = 0; i < 4; ++i) {
+  for (int i = 0; vb != nullptr && i < 4; ++i) {
     clock.Advance(MillisToMicros(120));  // The user reads the page.
     if (!vb->NextPage().ok()) break;
   }
   const int64_t prefetch_ops = prefetch_lookups() - prefetch_before;
   if (prefetch_ops <= 0) {
     std::printf("FAIL: prefetch pipeline idle during shard loss\n");
-    return 1;
+    failed.push_back("3: prefetch across failover");
+  } else {
+    std::printf("gate: prefetch stayed live across failover "
+                "(%lld page lookups)\n",
+                static_cast<long long>(prefetch_ops));
   }
-  std::printf("gate: prefetch stayed live across failover "
-              "(%lld page lookups)\n",
-              static_cast<long long>(prefetch_ops));
 
   // Heal: faults stop, the cooldown elapses, and the next routed read
   // probes the half-open breaker back closed.
   stacks[0]->link.SetFaultInjector(nullptr);
   clock.Advance(breaker.cooldown_us + MillisToMicros(1));
+  const size_t heal_failed_before = failed.size();
   if (run_queries(1) < 0) {
     std::printf("FAIL: query lost cards during heal probe\n");
-    return 1;
+    failed.push_back("4: results during the heal probe");
   }
   if (!router.IsLive(0) || router.live_count() != 4) {
     std::printf("FAIL: cooled-down shard did not rejoin (live=%zu)\n",
                 router.live_count());
-    return 1;
+    failed.push_back("4: shard rejoin");
   }
-  std::printf("gate: dead shard healed after cooldown, live=%zu\n",
-              router.live_count());
+  if (failed.size() == heal_failed_before) {
+    std::printf("gate: dead shard healed after cooldown, live=%zu\n",
+                router.live_count());
+  }
 
   router.SetTracer(nullptr);
   Status trace_gate =
@@ -423,7 +444,7 @@ int Run() {
   if (!trace_gate.ok()) {
     std::printf("FAIL: trace snapshot: %s\n",
                 trace_gate.ToString().c_str());
-    return 1;
+    failed.push_back("5: trace reconciliation");
   }
 
   total_sim_time += clock.Now();
@@ -437,6 +458,7 @@ int Run() {
   {
     const MatrixRun base = RunMatrixWorkload(1);
     total_sim_time += base.elapsed;
+    bool identical = true;
     for (int workers : {2, 4}) {
       const MatrixRun run = RunMatrixWorkload(workers);
       total_sim_time += run.elapsed;
@@ -471,13 +493,17 @@ int Run() {
                         static_cast<long long>(delta));
           }
         }
-        return 1;
+        identical = false;
       }
     }
-    std::printf("gate: workers {1,2,4} produce bit-identical results "
-                "(digest %016llx, %zu counter deltas)\n",
-                static_cast<unsigned long long>(base.digest),
-                base.counter_deltas.size());
+    if (identical) {
+      std::printf("gate: workers {1,2,4} produce bit-identical results "
+                  "(digest %016llx, %zu counter deltas)\n",
+                  static_cast<unsigned long long>(base.digest),
+                  base.counter_deltas.size());
+    } else {
+      failed.push_back("6: worker-count determinism");
+    }
   }
 
   // --- Phase 4: wall-clock speedup curve --------------------------------
@@ -512,17 +538,18 @@ int Run() {
                   static_cast<long long>(virtual_us[0]),
                   static_cast<long long>(virtual_us[1]),
                   static_cast<long long>(virtual_us[2]));
-      return 1;
+      failed.push_back("7: virtual time across worker counts");
     }
     if (std::thread::hardware_concurrency() >= 4) {
       if (!(speedup4 >= 1.8) || !(speedup2 >= 1.0)) {
         std::printf("FAIL: speedup curve not monotonic >=1.8x at 4 "
                     "workers (2w %.2fx, 4w %.2fx)\n",
                     speedup2, speedup4);
-        return 1;
+        failed.push_back("8: wall speedup");
+      } else {
+        std::printf("gate: 4-worker scatter is %.2fx the 1-worker wall "
+                    "time\n", speedup4);
       }
-      std::printf("gate: 4-worker scatter is %.2fx the 1-worker wall "
-                  "time\n", speedup4);
     } else {
       std::printf("gate: speedup advisory only (%u hardware threads "
                   "< 4)\n", std::thread::hardware_concurrency());
@@ -530,6 +557,13 @@ int Run() {
   }
 
   bench::NoteSimTime(total_sim_time);
+  if (!failed.empty()) {
+    std::printf("FAILED %zu gate(s):\n", failed.size());
+    for (const std::string& gate : failed) {
+      std::printf("  gate %s\n", gate.c_str());
+    }
+    return 1;
+  }
   return 0;
 }
 

@@ -1,13 +1,13 @@
 #include "minos/server/object_server.h"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
 #include "minos/format/archive_mailer.h"
 #include "minos/obs/metrics.h"
 #include "minos/query/query_engine.h"
 #include "minos/render/screen.h"
+#include "minos/server/page_plan.h"
 #include "minos/util/coding.h"
 #include "minos/util/string_util.h"
 
@@ -450,45 +450,6 @@ StatusOr<MultimediaObject> ObjectServer::FetchAt(
   return salvaged;
 }
 
-uint64_t ObjectServer::DeferredBytesOf(const ObjectDescriptor& desc) {
-  std::set<uint32_t> page_images;
-  bool pages_show_text = false;
-  for (const object::VisualPageSpec& page : desc.pages) {
-    if (page.text_page > 0) pages_show_text = true;
-    for (const object::PlacedImage& placed : page.images) {
-      page_images.insert(placed.image_index);
-    }
-  }
-  auto part_length = [&](const std::string& name) -> uint64_t {
-    for (const object::PartPointer& p : desc.parts) {
-      if (p.name == name) return p.length;
-    }
-    return 0;
-  };
-  uint64_t deferred = 0;
-  for (uint32_t index : page_images) {
-    deferred += part_length("image:" + std::to_string(index));
-  }
-  if (pages_show_text) deferred += part_length("text");
-  if (desc.driving_mode == object::DrivingMode::kAudio) {
-    deferred += part_length("voice");
-  }
-  return deferred;
-}
-
-StatusOr<uint64_t> ObjectServer::DeferredPageBytes(ObjectId id) const {
-  MINOS_ASSIGN_OR_RETURN(const CatalogEntry* entry, Lookup(id));
-  return DeferredBytesOf(entry->descriptor);
-}
-
-StatusOr<uint64_t> ObjectServer::PartLength(
-    ObjectId id, std::string_view part_name) const {
-  MINOS_ASSIGN_OR_RETURN(const CatalogEntry* entry, Lookup(id));
-  MINOS_ASSIGN_OR_RETURN(object::PartPointer part,
-                         entry->descriptor.FindPart(part_name));
-  return part.length;
-}
-
 Status ObjectServer::StagePartRange(ObjectId id, std::string_view part_name,
                                     uint64_t offset, uint64_t length,
                                     const obs::TraceContext& ctx) {
@@ -561,7 +522,7 @@ StatusOr<MultimediaObject> ObjectServer::Fetch(
   MINOS_ASSIGN_OR_RETURN(const CatalogEntry* entry, Lookup(id));
   uint64_t discount = 0;
   if (granularity == FetchGranularity::kSkeleton) {
-    discount = DeferredBytesOf(entry->descriptor);
+    discount = DeferredBytes(entry->descriptor);
   }
   return FetchAt(id, entry->address, /*over_link=*/true, discount,
                  span.has_value() ? &*span : nullptr);

@@ -218,7 +218,9 @@ class ObjectServer : public ObjectStore {
   /// namespace-scope enum, re-exported for existing call sites).
   using FetchGranularity = server::FetchGranularity;
 
-  /// Fetches a whole object (descriptor + composition) over the link.
+  /// Fetches an object (descriptor + composition) over the link. A
+  /// skeleton fetch discounts the DeferredBytes of the object's
+  /// descriptor from the link charge.
   StatusOr<object::MultimediaObject> Fetch(
       storage::ObjectId id,
       FetchGranularity granularity = FetchGranularity::kWhole,
@@ -253,16 +255,6 @@ class ObjectServer : public ObjectStore {
   Status StagePartRange(storage::ObjectId id, std::string_view part_name,
                         uint64_t offset, uint64_t length,
                         const obs::TraceContext& ctx = {}) override;
-
-  /// Bytes a skeleton fetch of `id` defers to page-granular transfers:
-  /// image parts placed on visual pages, plus the text or voice stream
-  /// the pages present. Zero for objects with no pageable content.
-  StatusOr<uint64_t> DeferredPageBytes(storage::ObjectId id) const;
-
-  /// Byte length of one named part of a cataloged object (the transfer
-  /// cost of delivering it in full).
-  StatusOr<uint64_t> PartLength(storage::ObjectId id,
-                                std::string_view part_name) const override;
 
   /// Introspection ---------------------------------------------------------
 
@@ -320,9 +312,6 @@ class ObjectServer : public ObjectStore {
       storage::ObjectId id, const storage::ArchiveAddress& address,
       bool over_link, uint64_t transfer_discount = 0,
       obs::TraceSpan* span = nullptr);
-
-  /// Deferred-byte math over a catalog entry's descriptor.
-  static uint64_t DeferredBytesOf(const object::ObjectDescriptor& desc);
 
   storage::Archiver* archiver_;
   storage::VersionStore* versions_;

@@ -41,10 +41,12 @@ enum class FetchGranularity : uint8_t {
   kWhole = 0,
   /// Descriptor and structure only; the page-content payloads (image
   /// parts placed on visual pages, the text/voice streams the pages
-  /// present) are deferred to page-granular transfers driven by the
-  /// browsing cursor. The object still materializes fully in memory —
-  /// the granularity governs transfer-cost accounting, which is what
-  /// the simulation measures.
+  /// present: DeferredBytes in page_plan.h) are deferred to
+  /// page-granular transfers driven by the browsing cursor, which a
+  /// PagePlan built from the fetched descriptor lays out page by page.
+  /// The object still materializes fully in memory — the granularity
+  /// governs transfer-cost accounting, which is what the simulation
+  /// measures.
   kSkeleton = 1,
 };
 
@@ -155,10 +157,6 @@ class ObjectStore {
                                 std::string_view part_name, uint64_t offset,
                                 uint64_t length,
                                 const obs::TraceContext& ctx = {}) = 0;
-
-  /// Byte length of one named part of a cataloged object.
-  virtual StatusOr<uint64_t> PartLength(storage::ObjectId id,
-                                        std::string_view part_name) const = 0;
 
   /// The retry schedule the store's fetch paths run under.
   virtual const RetryPolicy& retry_policy() const = 0;

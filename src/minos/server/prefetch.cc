@@ -357,26 +357,21 @@ std::optional<MiniatureCard> PrefetchQueue::TakeMiniature(
   return payload;
 }
 
-int PrefetchQueue::KeepRadius(PrefetchKind kind) const {
-  if (kind == PrefetchKind::kMiniature) return options_.miniature_radius;
-  return std::max(options_.pages_ahead, options_.pages_behind);
-}
-
-void PrefetchQueue::DropRun(PrefetchKind kind, uint64_t object_id,
-                            const std::function<bool(int index)>& stale) {
+void PrefetchQueue::DropRun(
+    PrefetchKind kind, uint64_t object_id,
+    const std::function<bool(const PrefetchKey& key)>& stale) {
   auto it = entries_.lower_bound(
       PrefetchKey{kind, object_id, std::numeric_limits<int>::min(), 0});
   while (it != entries_.end() && it->first.kind == kind &&
          it->first.object_id == object_id) {
-    it = stale(it->first.index) ? Drop(it) : std::next(it);
+    it = stale(it->first) ? Drop(it) : std::next(it);
   }
 }
 
-void PrefetchQueue::OnJump(PrefetchKind kind, uint64_t object_id,
-                           int new_cursor) {
-  const int radius = KeepRadius(kind);
-  DropRun(kind, object_id, [&](int index) {
-    return std::abs(index - new_cursor) > radius;
+void PrefetchQueue::OnJump(const PrefetchKey& cursor, int radius) {
+  DropRun(cursor.kind, cursor.object_id, [&](const PrefetchKey& key) {
+    return key.owner == cursor.owner &&
+           std::abs(key.index - cursor.index) > radius;
   });
   UpdateDepth();
 }
@@ -392,13 +387,14 @@ void PrefetchQueue::CancelObject(uint64_t object_id) {
   // Every kind but kMiniature, whose object_id is always 0.
   for (PrefetchKind kind : {PrefetchKind::kObject, PrefetchKind::kVisualPage,
                             PrefetchKind::kAudioPage}) {
-    DropRun(kind, object_id, [](int) { return true; });
+    DropRun(kind, object_id, [](const PrefetchKey&) { return true; });
   }
   UpdateDepth();
 }
 
 void PrefetchQueue::CancelAll() {
-  CancelWhere([](const PrefetchKey&) { return true; });
+  for (auto it = entries_.begin(); it != entries_.end();) it = Drop(it);
+  UpdateDepth();
 }
 
 void PrefetchQueue::CancelOwner(uint64_t owner) {
@@ -411,14 +407,6 @@ void PrefetchQueue::CancelOwner(uint64_t owner) {
     for (const auto& [seq, it] : index.queued) doomed.push_back(it);
     for (const auto& [seq, it] : index.ready) doomed.push_back(it);
     for (EntryRef it : doomed) Drop(it);
-  }
-  UpdateDepth();
-}
-
-void PrefetchQueue::CancelWhere(
-    const std::function<bool(const PrefetchKey&)>& stale) {
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    it = stale(it->first) ? Drop(it) : std::next(it);
   }
   UpdateDepth();
 }

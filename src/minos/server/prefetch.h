@@ -46,10 +46,15 @@ struct PrefetchKey {
   friend auto operator<=>(const PrefetchKey&, const PrefetchKey&) = default;
 };
 
-/// Tuning knobs for the pipeline. The defaults model a page-turn reader:
-/// a couple of pages ahead, one behind (back-turns are common), and the
-/// miniatures flanking the cursor.
+/// Tuning knobs for the pipeline.
 struct PrefetchOptions {
+  /// The Workstation's speculation radii (the queue itself never reads
+  /// them; a SessionManager speculates at its learned stride instead).
+  /// The defaults model a page-turn reader: a couple of pages ahead, one
+  /// behind (back-turns are common), and the miniatures flanking the
+  /// cursor. A jump keeps the pages within max(pages_ahead,
+  /// pages_behind) of the new cursor, a strip jump the cards within
+  /// miniature_radius.
   int pages_ahead = 2;
   int pages_behind = 1;
   int miniature_radius = 2;
@@ -108,8 +113,8 @@ struct PrefetchOptions {
 /// entries: a pick, an issue, a consume, an eviction and each dropped
 /// entry cost O(log n), a budget read and the counts O(1), and the
 /// canned cancels walk only the entries they drop (plus, for OnJump, the
-/// survivors of its one kind and object). Only CancelWhere and CancelAll
-/// visit every entry.
+/// survivors of its one kind and object). Only CancelAll visits every
+/// entry.
 ///
 /// Statistics live under "prefetch.*": enqueued, issued, hits,
 /// partial_hits, misses, wasted, cancelled, errors counters; wait_us and
@@ -181,12 +186,13 @@ class PrefetchQueue {
 
   /// Steer ---------------------------------------------------------------
 
-  /// The cursor jumped (goto-page / random seek) to `new_cursor` within
-  /// `object_id`. Stale entries of `kind` for that object outside the
-  /// prefetch radius are dropped: queued ones count cancelled, ready
-  /// ones count wasted. A stale ready page can therefore never be
-  /// delivered after a jump — it no longer exists.
-  void OnJump(PrefetchKind kind, uint64_t object_id, int new_cursor);
+  /// A cursor jumped (goto-page / random seek) to `cursor.index`. The
+  /// entries of `cursor.owner` with `cursor.kind` for `cursor.object_id`
+  /// lying more than `radius` away are dropped: queued ones count
+  /// cancelled, ready ones count wasted. A stale ready page can
+  /// therefore never be delivered after a jump — it no longer exists.
+  /// Other owners' entries for the same object are untouched.
+  void OnJump(const PrefetchKey& cursor, int radius);
 
   /// Drops every entry of `kind` (queued → cancelled, ready → wasted).
   /// A new Query must cancel kMiniature this way: positions in the old
@@ -196,7 +202,7 @@ class PrefetchQueue {
   /// Drops every page/object entry of `object_id` (miniatures, whose
   /// object_id is always 0, are untouched). Re-opening an object resets
   /// its delivery plan, so entries staged for the previous open must not
-  /// satisfy ranges the fresh skeleton fetch discounted again.
+  /// satisfy pages the fresh skeleton fetch discounted again.
   void CancelObject(uint64_t object_id);
 
   /// Drops every entry (queued → cancelled, ready → wasted). The
@@ -207,12 +213,6 @@ class PrefetchQueue {
   /// ready → wasted). A reaped or closed session releases its whole
   /// speculative footprint this way.
   void CancelOwner(uint64_t owner);
-
-  /// Drops every entry matching `stale` (queued → cancelled, ready →
-  /// wasted) — the generic steer hook for callers whose staleness rule
-  /// is not one of the canned cancels (e.g. a session jump cancelling
-  /// only its own out-of-radius pages).
-  void CancelWhere(const std::function<bool(const PrefetchKey&)>& stale);
 
   /// Issues up to max_inflight_per_pump queued entries, nearest cursor
   /// distance first. Reentrant calls (a pumped transfer's retry sleeper
@@ -293,9 +293,6 @@ class PrefetchQueue {
     }
   };
 
-  /// Radius inside which entries of `kind` survive a jump.
-  int KeepRadius(PrefetchKind kind) const;
-
   /// Shared enqueue path: `affinity_object` is the grouping hint a
   /// pump with workers reads (pages use their own object id).
   void Enqueue(const PrefetchKey& key, int distance, PageWork work,
@@ -312,11 +309,11 @@ class PrefetchQueue {
   /// a ready one wasted.
   EntryRef Drop(EntryRef it);
 
-  /// Drops the entries of `kind` for `object_id` whose index `stale`
+  /// Drops the entries of `kind` for `object_id` whose key `stale`
   /// accepts. Keys sort by kind, then object id, so these entries are
   /// one contiguous run of the map and nothing else is visited.
   void DropRun(PrefetchKind kind, uint64_t object_id,
-               const std::function<bool(int index)>& stale);
+               const std::function<bool(const PrefetchKey& key)>& stale);
 
   /// `owner`'s eviction rank; none while it holds no ready entry.
   static std::optional<EvictRank> RankOf(const OwnerIndex& owner);

@@ -600,14 +600,6 @@ Status ShardRouter::StagePartRange(ObjectId id, std::string_view part_name,
       .status();
 }
 
-StatusOr<uint64_t> ShardRouter::PartLength(ObjectId id,
-                                           std::string_view part_name) const {
-  return RouteRead<uint64_t>(
-      id, [&](ObjectServer* s, const obs::TraceContext&) {
-        return s->PartLength(id, part_name);
-      });
-}
-
 const RetryPolicy& ShardRouter::retry_policy() const {
   return shards_.front()->retry_policy();
 }

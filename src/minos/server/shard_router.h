@@ -173,9 +173,6 @@ class ShardRouter : public ObjectStore {
                         uint64_t offset, uint64_t length,
                         const obs::TraceContext& ctx = {}) override;
 
-  StatusOr<uint64_t> PartLength(storage::ObjectId id,
-                                std::string_view part_name) const override;
-
   const RetryPolicy& retry_policy() const override;
 
   /// Forwards to every shard: a retry on any shard's fetch path spends

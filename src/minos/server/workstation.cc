@@ -5,19 +5,6 @@
 
 namespace minos::server {
 
-std::pair<uint64_t, uint64_t> ApportionStream(uint64_t total_len, int page,
-                                              int page_count) {
-  if (total_len == 0 || page < 1 || page > page_count) return {0, 0};
-  const uint64_t chunk = total_len / static_cast<uint64_t>(page_count);
-  // Fewer bytes than pages: zero-byte chunks would never deliver the
-  // stream, so the whole of it rides with the first page visited.
-  if (chunk == 0) return {0, total_len};
-  const uint64_t offset = static_cast<uint64_t>(page - 1) * chunk;
-  const uint64_t length =
-      page == page_count ? total_len - offset : chunk;
-  return {offset, length};
-}
-
 MiniatureBrowser::MiniatureBrowser(std::vector<MiniatureCard> cards) {
   slots_.reserve(cards.size());
   for (MiniatureCard& card : cards) {
@@ -171,68 +158,11 @@ StatusOr<object::MultimediaObject> Workstation::Resolve(
 
 void Workstation::BuildPlan(storage::ObjectId id,
                             const object::ObjectDescriptor& desc) {
-  // A fresh plan restarts delivery accounting, so entries staged for a
-  // previous open of this object must not satisfy ranges the new
-  // skeleton fetch discounted again.
-  if (prefetch_ != nullptr) prefetch_->CancelObject(id);
-  ObjectPlan plan;
-  plan.audio_mode = desc.driving_mode == object::DrivingMode::kAudio;
-  plan.page_text.reserve(desc.pages.size());
-  plan.page_images.reserve(desc.pages.size());
-  auto part_length = [&](const std::string& name) -> uint64_t {
-    StatusOr<uint64_t> len = server_->PartLength(id, name);
-    return len.ok() ? *len : 0;
-  };
-  for (const object::VisualPageSpec& page : desc.pages) {
-    plan.page_text.push_back(page.text_page);
-    plan.text_pages = std::max(plan.text_pages, page.text_page);
-    std::vector<std::pair<std::string, uint64_t>> images;
-    for (const object::PlacedImage& placed : page.images) {
-      std::string part = "image:" + std::to_string(placed.image_index);
-      uint64_t length = part_length(part);
-      images.emplace_back(std::move(part), length);
-    }
-    plan.page_images.push_back(std::move(images));
-  }
-  if (plan.text_pages > 0) plan.text_len = part_length("text");
-  if (plan.audio_mode) plan.voice_len = part_length("voice");
   // Re-resolving (a fresh Open of the same object) restarts delivery:
-  // the skeleton fetch deferred the page bytes again.
-  plans_[id] = std::move(plan);
-}
-
-std::vector<Workstation::PageRange> Workstation::UndeliveredRanges(
-    const ObjectPlan& plan, PrefetchKind kind, int page,
-    int page_count) const {
-  std::vector<PageRange> out;
-  auto want = [&](std::string part, uint64_t offset, uint64_t length) {
-    if (length == 0) return;
-    if (plan.delivered.count(part + ":" + std::to_string(offset)) > 0) {
-      return;
-    }
-    out.push_back(PageRange{std::move(part), offset, length});
-  };
-  if (kind == PrefetchKind::kAudioPage) {
-    // The voice stream apportioned over the audio pages the pager built.
-    const auto [offset, length] =
-        ApportionStream(plan.voice_len, page, page_count);
-    want("voice", offset, length);
-    return out;
-  }
-  const size_t index = static_cast<size_t>(page - 1);
-  if (index >= plan.page_text.size()) return out;
-  const uint32_t text_page = plan.page_text[index];
-  if (text_page > 0 && plan.text_pages > 0) {
-    // The text stream apportioned over its formatted pages.
-    const auto [offset, length] =
-        ApportionStream(plan.text_len, static_cast<int>(text_page),
-                        static_cast<int>(plan.text_pages));
-    want("text", offset, length);
-  }
-  for (const auto& [part, length] : plan.page_images[index]) {
-    want(part, 0, length);
-  }
-  return out;
+  // the skeleton fetch deferred the page bytes again, so entries staged
+  // for a previous open must not satisfy pages of the new one.
+  prefetch_->CancelObject(id);
+  plans_.insert_or_assign(id, ObjectPlan{PagePlan(desc), {}});
 }
 
 Status Workstation::StageAndTransfer(storage::ObjectId id,
@@ -242,12 +172,8 @@ Status Workstation::StageAndTransfer(storage::ObjectId id,
   std::optional<obs::TraceSpan> span =
       obs::MaybeStartSpan(tracer_, "ws.transfer", ctx);
   const obs::TraceContext sctx = obs::ContextOf(span);
-  uint64_t bytes = 0;
-  for (const PageRange& range : ranges) {
-    MINOS_RETURN_IF_ERROR(server_->StagePartRange(
-        id, range.part, range.offset, range.length, sctx));
-    bytes += range.length;
-  }
+  MINOS_ASSIGN_OR_RETURN(const uint64_t bytes,
+                         StageRanges(server_, id, ranges, sctx));
   // The link the object travels is a routing decision (a sharded store
   // may fail over between attempts), so it is re-asked per transfer.
   Link* link = server_->RouteLink(id);
@@ -272,13 +198,6 @@ Status Workstation::StageAndTransfer(storage::ObjectId id,
       .status();
 }
 
-void Workstation::MarkDelivered(ObjectPlan& plan,
-                                const std::vector<PageRange>& ranges) {
-  for (const PageRange& range : ranges) {
-    plan.delivered.insert(range.part + ":" + std::to_string(range.offset));
-  }
-}
-
 void Workstation::OnBrowse(
     const core::PresentationManager::BrowseEvent& event) {
   if (prefetch_ == nullptr) return;
@@ -294,22 +213,23 @@ void Workstation::OnBrowse(
     span->AddTag("page", static_cast<int64_t>(event.page));
   }
   ObjectPlan& plan = plan_it->second;
-  const PrefetchKind kind = event.mode == object::DrivingMode::kAudio
-                                ? PrefetchKind::kAudioPage
-                                : PrefetchKind::kVisualPage;
+  const bool audio = event.mode == object::DrivingMode::kAudio;
+  const PrefetchKind kind =
+      audio ? PrefetchKind::kAudioPage : PrefetchKind::kVisualPage;
   const uint64_t id = event.object_id;
+  const PrefetchKey key{kind, id, event.page};
   if (event.jump) {
     // Random seek: entries around the old cursor are stale.
-    prefetch_->OnJump(kind, id, event.page);
+    prefetch_->OnJump(key, std::max(prefetch_options_.pages_ahead,
+                                    prefetch_options_.pages_behind));
   }
 
   // Deliver the page under the cursor: claim the staged transfer, or do
   // it in the foreground (this runs inside the browser's page-turn
   // measurement, so the stall is charged to this turn).
-  std::vector<PageRange> ranges =
-      UndeliveredRanges(plan, kind, event.page, event.page_count);
+  const std::vector<PageRange> ranges =
+      plan.Undelivered(audio, event.page, event.page_count);
   if (!ranges.empty()) {
-    PrefetchKey key{kind, id, event.page};
     bool have = prefetch_->TakePage(key);
     if (span.has_value()) span->AddTag("prefetch", have ? "hit" : "miss");
     if (!have) {
@@ -324,7 +244,7 @@ void Workstation::OnBrowse(
                 "); presenting skeleton");
       }
     }
-    if (have) MarkDelivered(plan, ranges);
+    if (have) plan.delivered.insert(event.page);
   }
 
   // Speculate around the new cursor: next pages first, then previous.
@@ -346,17 +266,18 @@ void Workstation::ScheduleWantPage(PrefetchKind kind, storage::ObjectId id,
   PrefetchKey key{kind, id, page};
   prefetch_->WantPage(key, distance,
                       [this, kind, id, page, page_count, ctx] {
-    // Resolved at issue time: ranges another page already delivered
-    // (e.g. a shared image) are skipped, not re-transferred. The
-    // captured context keeps the eventual background transfer
-    // attributed to the page turn that scheduled the speculation,
-    // however much later the pipeline issues it.
+    // Resolved at issue time: a page delivered since it was queued
+    // transfers nothing. The captured context keeps the eventual
+    // background transfer attributed to the page turn that scheduled
+    // the speculation, however much later the pipeline issues it.
     auto plan_it = plans_.find(id);
     if (plan_it == plans_.end()) {
       return Status::FailedPrecondition("object closed before prefetch");
     }
     return StageAndTransfer(
-        id, UndeliveredRanges(plan_it->second, kind, page, page_count),
+        id,
+        plan_it->second.Undelivered(kind == PrefetchKind::kAudioPage, page,
+                                    page_count),
         /*with_retries=*/false, ctx);
   });
 }
@@ -387,31 +308,7 @@ StatusOr<MiniatureBrowser> Workstation::Query(
     }
     return MiniatureBrowser(std::move(cards));
   }
-  const std::vector<storage::ObjectId> ids = server_->QueryAll(words);
-  // A new query builds a new strip: cards staged for the old strip are
-  // keyed by position only and would otherwise be delivered as the
-  // cards of whatever objects now occupy those positions.
-  prefetch_->Cancel(PrefetchKind::kMiniature);
-  // Lazy strip: cards materialize under the cursor (claiming staged ones
-  // first), and the cursor steers the pipeline at the flanks.
-  MiniatureBrowser browser(
-      ids, [this](storage::ObjectId id, int position) {
-        if (std::optional<MiniatureCard> staged =
-                prefetch_->TakeMiniature(position, id)) {
-          thumb_cache_[id] = staged->thumb;
-          return StatusOr<MiniatureCard>(*std::move(staged));
-        }
-        StatusOr<MiniatureCard> card =
-            server_->FetchMiniature(id, 96, CurCtx());
-        if (card.ok()) thumb_cache_[id] = card->thumb;
-        return card;
-      });
-  browser.SetCursorListener([this, ids](int position, int count, bool jump) {
-    (void)count;
-    OnMiniatureCursor(ids, position, jump);
-  });
-  OnMiniatureCursor(ids, 0, /*jump=*/false);
-  return browser;
+  return LazyStrip(server_->QueryAll(words), {});
 }
 
 StatusOr<MiniatureBrowser> Workstation::QueryRanked(
@@ -454,8 +351,7 @@ StatusOr<MiniatureBrowser> Workstation::QueryRanked(
     return MiniatureBrowser(std::move(cards));
   }
 
-  // Prefetching: lazy strip over the ranked ids, best first. Cards claim
-  // staged fetches like the unranked path and pick their score up here.
+  // Prefetching: lazy strip over the ranked ids, best first.
   std::vector<storage::ObjectId> ids;
   std::map<storage::ObjectId, double> scores;
   ids.reserve(hits.size());
@@ -463,19 +359,27 @@ StatusOr<MiniatureBrowser> Workstation::QueryRanked(
     ids.push_back(hit.id);
     scores.emplace(hit.id, hit.score);
   }
+  return LazyStrip(ids, std::move(scores));
+}
+
+MiniatureBrowser Workstation::LazyStrip(
+    const std::vector<storage::ObjectId>& ids,
+    std::map<storage::ObjectId, double> scores) {
+  // A new query builds a new strip: cards staged for the old strip are
+  // keyed by position only and would otherwise be delivered as the
+  // cards of whatever objects now occupy those positions.
   prefetch_->Cancel(PrefetchKind::kMiniature);
+  // Cards materialize under the cursor, claiming staged ones first.
   MiniatureBrowser browser(
-      ids, [this, scores](storage::ObjectId id, int position) {
+      ids, [this, scores = std::move(scores)](storage::ObjectId id,
+                                               int position) {
         auto scored = scores.find(id);
         const double score = scored != scores.end() ? scored->second : 0;
-        if (std::optional<MiniatureCard> staged =
-                prefetch_->TakeMiniature(position, id)) {
-          staged->score = score;
-          thumb_cache_[id] = staged->thumb;
-          return StatusOr<MiniatureCard>(*std::move(staged));
-        }
+        std::optional<MiniatureCard> staged =
+            prefetch_->TakeMiniature(position, id);
         StatusOr<MiniatureCard> card =
-            server_->FetchMiniature(id, 96, CurCtx());
+            staged.has_value() ? StatusOr<MiniatureCard>(*std::move(staged))
+                               : server_->FetchMiniature(id, 96, CurCtx());
         if (card.ok()) {
           card->score = score;
           thumb_cache_[id] = card->thumb;
@@ -493,7 +397,10 @@ StatusOr<MiniatureBrowser> Workstation::QueryRanked(
 void Workstation::OnMiniatureCursor(
     const std::vector<storage::ObjectId>& ids, int position, bool jump) {
   if (prefetch_ == nullptr || ids.empty()) return;
-  if (jump) prefetch_->OnJump(PrefetchKind::kMiniature, 0, position);
+  if (jump) {
+    prefetch_->OnJump(PrefetchKey{PrefetchKind::kMiniature, 0, position},
+                      prefetch_options_.miniature_radius);
+  }
   const int count = static_cast<int>(ids.size());
   for (int step = 1; step <= prefetch_options_.miniature_radius; ++step) {
     for (int sign : {+1, -1}) {

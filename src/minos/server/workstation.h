@@ -14,21 +14,12 @@
 #include "minos/core/presentation_manager.h"
 #include "minos/query/result_cache.h"
 #include "minos/server/object_store.h"
+#include "minos/server/page_plan.h"
 #include "minos/server/prefetch.h"
 #include "minos/util/random.h"
 #include "minos/util/statusor.h"
 
 namespace minos::server {
-
-/// Splits an even apportionment of `total_len` bytes over `page_count`
-/// pages and returns the {offset, length} slice that page `page`
-/// (1-based) owns. The last page absorbs the rounding remainder; a
-/// stream smaller than the page count rides whole with every page
-/// (offset 0, full length) so that the first page visited delivers it —
-/// delivery bookkeeping keeps later pages from re-transferring it.
-/// {0, 0} when the stream is empty or `page` is out of range.
-std::pair<uint64_t, uint64_t> ApportionStream(uint64_t total_len, int page,
-                                              int page_count);
 
 /// Sequential miniature-browsing interface (§5): the user pages through
 /// the miniature cards of qualifying objects and selects one to open.
@@ -194,36 +185,25 @@ class Workstation {
   void SetTaskPool(runtime::TaskPool* pool);
 
  private:
-  /// One contiguous byte range of a part, staged/transferred per page.
-  struct PageRange {
-    std::string part;
-    uint64_t offset = 0;
-    uint64_t length = 0;
-  };
-
-  /// Per-object paging info captured when the resolver delivers a
-  /// skeleton: what each page needs, what has been delivered.
+  /// Per-object paging state captured when the resolver delivers a
+  /// skeleton: what each page presents, and which pages are already at
+  /// the terminal (delivered whole the first time the cursor lands on
+  /// them; revisits are free).
   struct ObjectPlan {
-    bool audio_mode = false;
-    uint64_t text_len = 0;
-    uint32_t text_pages = 0;  ///< Highest formatted text page used.
-    uint64_t voice_len = 0;
-    /// Per visual page: formatted text page shown (0 = none).
-    std::vector<uint32_t> page_text;
-    /// Per visual page: (image part name, byte length) placed on it.
-    std::vector<std::vector<std::pair<std::string, uint64_t>>> page_images;
-    /// Range keys ("part:offset") already transferred.
-    std::set<std::string> delivered;
+    PagePlan pages;
+    std::set<int> delivered;
+
+    /// The ranges page `page` still needs: none once it is delivered.
+    std::vector<PageRange> Undelivered(bool audio, int page,
+                                       int page_count) const {
+      if (delivered.count(page) > 0) return {};
+      return pages.Ranges(audio, page, page_count);
+    }
   };
 
   StatusOr<object::MultimediaObject> Resolve(storage::ObjectId id);
   void BuildPlan(storage::ObjectId id,
                  const object::ObjectDescriptor& desc);
-
-  /// Byte ranges page `page` (1-based) still needs.
-  std::vector<PageRange> UndeliveredRanges(const ObjectPlan& plan,
-                                           PrefetchKind kind, int page,
-                                           int page_count) const;
 
   /// Stages the ranges and charges the link once for their total size.
   /// With a valid `ctx` the work records a "ws.transfer" span under it.
@@ -246,7 +226,13 @@ class Workstation {
                               : obs::TraceContext{};
   }
 
-  void MarkDelivered(ObjectPlan& plan, const std::vector<PageRange>& ranges);
+  /// The prefetching miniature strip over `ids`: each card claims its
+  /// staged fetch first, carries its score from `scores` (0 when
+  /// absent) and leaves its thumb in the thumb cache, and the cursor
+  /// steers the pipeline at the flanks. Cancels the previous strip's
+  /// staged cards.
+  MiniatureBrowser LazyStrip(const std::vector<storage::ObjectId>& ids,
+                             std::map<storage::ObjectId, double> scores);
 
   /// Cursor-event handlers (prefetch enabled only).
   void OnBrowse(const core::PresentationManager::BrowseEvent& event);

@@ -5,9 +5,7 @@
 #include <cstdlib>
 #include <utility>
 
-#include "minos/object/descriptor.h"
 #include "minos/server/link.h"
-#include "minos/server/workstation.h"
 
 namespace minos::session {
 
@@ -182,6 +180,7 @@ void SessionManager::CloseSession(Session& s, bool reaped) {
   s.state = SessionState::kClosed;
   s.root.reset();
   s.delivered.clear();
+  s.plan.reset();
   s.object = 0;
 }
 
@@ -218,7 +217,7 @@ void SessionManager::LearnStride(Session& s, int delta) {
   s.stride_ewma = 0.7 * s.stride_ewma + 0.3 * static_cast<double>(delta);
 }
 
-StatusOr<SessionManager::Plan> SessionManager::EnsurePlan(
+StatusOr<SessionManager::PlanRef> SessionManager::EnsurePlan(
     storage::ObjectId object, const obs::TraceContext& ctx) {
   {
     std::lock_guard<std::mutex> lock(plans_mu_);
@@ -228,46 +227,11 @@ StatusOr<SessionManager::Plan> SessionManager::EnsurePlan(
   MINOS_ASSIGN_OR_RETURN(
       object::MultimediaObject obj,
       store_->Fetch(object, server::FetchGranularity::kSkeleton, ctx));
-  const object::ObjectDescriptor& desc = obj.descriptor();
-  Plan plan;
-  auto part_length = [&](const std::string& name) -> uint64_t {
-    StatusOr<uint64_t> len = store_->PartLength(object, name);
-    return len.ok() ? *len : 0;
-  };
-  uint32_t text_pages = 0;
-  for (const object::VisualPageSpec& page : desc.pages) {
-    text_pages = std::max(text_pages, page.text_page);
-  }
-  const uint64_t text_len = text_pages > 0 ? part_length("text") : 0;
-  plan.pages.reserve(desc.pages.size());
-  plan.page_bytes.reserve(desc.pages.size());
-  for (const object::VisualPageSpec& page : desc.pages) {
-    std::vector<PageRange> ranges;
-    if (page.text_page > 0 && text_pages > 0 && text_len > 0) {
-      const auto [offset, length] =
-          server::ApportionStream(text_len, static_cast<int>(page.text_page),
-                                  static_cast<int>(text_pages));
-      if (length > 0) ranges.push_back(PageRange{"text", offset, length});
-    }
-    for (const object::PlacedImage& placed : page.images) {
-      std::string part = "image:" + std::to_string(placed.image_index);
-      const uint64_t length = part_length(part);
-      if (length > 0) {
-        ranges.push_back(PageRange{std::move(part), 0, length});
-      }
-    }
-    uint64_t total = 0;
-    for (const PageRange& r : ranges) total += r.length;
-    plan.pages.push_back(std::move(ranges));
-    plan.page_bytes.push_back(total);
-  }
+  auto plan = std::make_shared<const server::PagePlan>(obj.descriptor());
   std::lock_guard<std::mutex> lock(plans_mu_);
-  auto it = plans_.find(object);
-  if (it == plans_.end()) {
-    plan.stamp = next_plan_stamp_++;
-    it = plans_.emplace(object, std::move(plan)).first;
-  }
-  return it->second;
+  // A task staging another shard may have built it meanwhile: the
+  // first plan cached wins.
+  return plans_.emplace(object, std::move(plan)).first->second;
 }
 
 void SessionManager::InvalidateObject(storage::ObjectId object) {
@@ -283,83 +247,48 @@ void SessionManager::InvalidateObject(storage::ObjectId object) {
   for (auto& [id, s] : sessions_) {
     if (s.object == object) {
       s.delivered.clear();
-      s.plan_stamp = 0;
+      s.plan.reset();
     }
   }
 }
 
 Status SessionManager::StagePage(Session& s, int page,
                                  const obs::TraceContext& ctx) {
-  MINOS_ASSIGN_OR_RETURN(Plan plan, EnsurePlan(s.object, ctx));
-  s.page_count = static_cast<int>(plan.pages.size());
-  if (s.plan_stamp != plan.stamp) {
+  MINOS_ASSIGN_OR_RETURN(PlanRef plan, EnsurePlan(s.object, ctx));
+  s.page_count = plan->page_count();
+  if (s.plan != plan) {
     s.delivered.clear();
-    s.plan_stamp = plan.stamp;
+    s.plan = std::move(plan);
   }
   if (s.page_count == 0) return Status::OK();
   if (page > s.page_count) {
     page = s.page_count;
     s.page = page;
   }
-  uint64_t total = 0;
-  for (const PageRange& r : plan.pages[static_cast<size_t>(page - 1)]) {
-    MINOS_RETURN_IF_ERROR(
-        store_->StagePartRange(s.object, r.part, r.offset, r.length, ctx));
-    total += r.length;
-  }
-  if (total > 0) {
-    server::Link* link = store_->RouteLink(s.object);
-    if (link != nullptr) {
-      MINOS_RETURN_IF_ERROR(link->Transfer(total, ctx).status());
-    }
-  }
-  return Status::OK();
+  return DeliverPage(s.object, *s.plan, page, ctx);
 }
 
-Status SessionManager::StagePageBackground(storage::ObjectId object,
-                                           int page) {
-  Plan plan;
-  {
-    std::lock_guard<std::mutex> lock(plans_mu_);
-    auto it = plans_.find(object);
-    if (it == plans_.end()) {
-      return Status::NotFound("plan invalidated before issue");
-    }
-    plan = it->second;
-  }
-  if (page < 1 || page > static_cast<int>(plan.pages.size())) {
-    return Status::OutOfRange("page beyond plan");
-  }
-  uint64_t total = 0;
-  for (const PageRange& r : plan.pages[static_cast<size_t>(page - 1)]) {
-    MINOS_RETURN_IF_ERROR(
-        store_->StagePartRange(object, r.part, r.offset, r.length));
-    total += r.length;
-  }
-  if (total > 0) {
-    server::Link* link = store_->RouteLink(object);
-    if (link != nullptr) {
-      MINOS_RETURN_IF_ERROR(link->Transfer(total).status());
-    }
-  }
-  return Status::OK();
+Status SessionManager::DeliverPage(storage::ObjectId object,
+                                   const server::PagePlan& plan, int page,
+                                   const obs::TraceContext& ctx) {
+  MINOS_ASSIGN_OR_RETURN(
+      const uint64_t bytes,
+      server::StageRanges(store_, object,
+                          plan.Ranges(/*audio=*/false, page, 0), ctx));
+  if (bytes == 0) return Status::OK();
+  server::Link* link = store_->RouteLink(object);
+  if (link == nullptr) return Status::OK();
+  return link->Transfer(bytes, ctx).status();
 }
 
 void SessionManager::Speculate(Session& s) {
-  if (s.object == 0 || s.page_count <= 0 || s.plan_stamp == 0) return;
-  std::vector<uint64_t> page_bytes;
-  {
-    std::lock_guard<std::mutex> lock(plans_mu_);
-    auto it = plans_.find(s.object);
-    if (it == plans_.end() || it->second.stamp != s.plan_stamp) return;
-    page_bytes = it->second.page_bytes;
-  }
+  if (s.object == 0 || s.page_count <= 0 || s.plan == nullptr) return;
   const int stride = EffectiveStride(s);
   for (int k = 1; k <= kSpeculateDepth; ++k) {
     const int p = s.page + stride * k;
     if (p < 1 || p > s.page_count) break;
     if (s.delivered.count(p) > 0) continue;
-    const uint64_t bytes = page_bytes[static_cast<size_t>(p - 1)];
+    const uint64_t bytes = s.plan->Bytes(/*audio=*/false, p, 0);
     if (bytes == 0) continue;
     if (queue_->OutstandingBytes(s.id) + bytes >
         options_.prefetch_budget_bytes) {
@@ -370,10 +299,13 @@ void SessionManager::Speculate(Session& s) {
     }
     server::PrefetchKey key{server::PrefetchKind::kVisualPage, s.object, p,
                             s.id};
-    const storage::ObjectId object = s.object;
+    // The work holds the plan it was scheduled against: an append
+    // invalidating the object cancels the entry before it can issue.
     queue_->WantPage(
         key, k,
-        [this, object, p]() { return StagePageBackground(object, p); },
+        [this, object = s.object, plan = s.plan, p]() {
+          return DeliverPage(object, *plan, p, {});
+        },
         bytes);
   }
 }
@@ -483,7 +415,7 @@ std::vector<SessionOutcome> SessionManager::PumpEpoch(
         s->object = ev.object;
         s->page = 1;
         s->page_count = 0;
-        s->plan_stamp = 0;
+        s->plan.reset();
         s->delivered.clear();
         s->state = SessionState::kReading;
         opens_->Increment();
@@ -507,12 +439,9 @@ std::vector<SessionOutcome> SessionManager::PumpEpoch(
         if (ev.kind == SessionEvent::Kind::kJump) {
           const int radius =
               std::max(1, std::abs(EffectiveStride(*s))) * kSpeculateDepth;
-          queue_->CancelWhere([&](const server::PrefetchKey& key) {
-            return key.owner == s->id &&
-                   key.kind == server::PrefetchKind::kVisualPage &&
-                   key.object_id == s->object &&
-                   std::abs(key.index - target) > radius;
-          });
+          queue_->OnJump(server::PrefetchKey{server::PrefetchKind::kVisualPage,
+                                             s->object, target, s->id},
+                         radius);
           LearnStride(*s, target - s->page);
         } else {
           LearnStride(*s, ev.delta);

@@ -16,6 +16,7 @@
 #include "minos/obs/trace.h"
 #include "minos/runtime/task_pool.h"
 #include "minos/server/object_store.h"
+#include "minos/server/page_plan.h"
 #include "minos/server/prefetch.h"
 #include "minos/util/clock.h"
 #include "minos/util/statusor.h"
@@ -194,20 +195,11 @@ class SessionManager {
   Micros traced_active_us() const { return traced_active_us_; }
 
  private:
-  struct PageRange {
-    std::string part;
-    uint64_t offset = 0;
-    uint64_t length = 0;
-  };
-
-  /// Delivery plan of one object: per-page byte ranges derived from the
-  /// skeleton descriptor, shared across sessions (each session keeps its
-  /// own delivered-page set). `stamp` bumps on append invalidation.
-  struct Plan {
-    uint64_t stamp = 0;
-    std::vector<std::vector<PageRange>> pages;  ///< [page-1] -> ranges.
-    std::vector<uint64_t> page_bytes;           ///< [page-1] -> total.
-  };
+  /// The page plan of one object, built from its skeleton descriptor and
+  /// shared by every session reading it (each keeps its own
+  /// delivered-page set). Immutable, so staging tasks and speculative
+  /// work read it without the cache lock.
+  using PlanRef = std::shared_ptr<const server::PagePlan>;
 
   struct Session {
     SessionId id = 0;
@@ -218,7 +210,7 @@ class SessionManager {
     storage::ObjectId object = 0;  ///< Open object (0 = none).
     int page = 0;                  ///< 1-based cursor.
     int page_count = 0;
-    uint64_t plan_stamp = 0;        ///< Plan generation delivered against.
+    PlanRef plan;                   ///< Plan delivered against (null: none).
     std::set<int> delivered;        ///< Pages of `object` at the terminal.
     double stride_ewma = 1.0;       ///< Learned pages-per-turn.
     std::set<uint64_t> leases;      ///< Affinity groups leased.
@@ -247,20 +239,24 @@ class SessionManager {
   int EffectiveStride(const Session& s) const;
   void LearnStride(Session& s, int delta);
 
-  /// Copy of the plan for `object` (fetching the skeleton to build it on
-  /// first need). Thread-safe: tasks staging different shards race only
-  /// on the cache map, which is mutex-guarded.
-  StatusOr<Plan> EnsurePlan(storage::ObjectId object,
-                            const obs::TraceContext& ctx);
-  /// Drops the plan (append invalidation) and resets delivery
-  /// bookkeeping of every session reading `object`.
+  /// The plan for `object` (fetching the skeleton to build it on first
+  /// need). Thread-safe: tasks staging different shards race only on
+  /// the cache map, which is mutex-guarded.
+  StatusOr<PlanRef> EnsurePlan(storage::ObjectId object,
+                               const obs::TraceContext& ctx);
+  /// Append invalidation, in one serial step: drops the plan, cancels
+  /// every staged entry of `object` (whoever owns it) and resets the
+  /// delivery bookkeeping of every session reading it.
   void InvalidateObject(storage::ObjectId object);
 
-  /// Foreground-stages page `page` of the session's object: plan ranges
-  /// through the archiver, then the payload over the routed link.
+  /// Foreground-stages page `page` of the session's object, adopting
+  /// the current plan (a new one restarts the delivered-page set).
   Status StagePage(Session& s, int page, const obs::TraceContext& ctx);
-  /// Background flavor for prefetch work: same ranges, no session state.
-  Status StagePageBackground(storage::ObjectId object, int page);
+  /// Stages visual page `page` of `object` by `plan` through the
+  /// archiver, then moves its bytes over the routed link in one
+  /// transfer. The foreground and speculative paths share it.
+  Status DeliverPage(storage::ObjectId object, const server::PagePlan& plan,
+                     int page, const obs::TraceContext& ctx);
 
   /// Schedules up to kSpeculateDepth pages ahead at the learned stride,
   /// within the session's prefetch budget.
@@ -285,10 +281,9 @@ class SessionManager {
   std::map<uint64_t, int> lease_use_;  ///< Affinity -> live leases.
   Micros traced_active_us_ = 0;
 
-  /// Guards plans_: read/built from staging tasks and prefetch work.
+  /// Guards plans_: read and built from staging tasks.
   mutable std::mutex plans_mu_;
-  std::map<storage::ObjectId, Plan> plans_;
-  uint64_t next_plan_stamp_ = 1;
+  std::map<storage::ObjectId, PlanRef> plans_;
 
   obs::Counter* opened_;  // Owned by the registry.
   obs::Counter* admitted_;

@@ -169,8 +169,8 @@ TEST(PrefetchQueueTest, JumpCancelsQueuedAndWastesReadyEntries) {
   ASSERT_EQ(h.queue.queued_count(), 2u);
 
   // The user jumps to page 40: everything around the old cursor is
-  // stale (radius is max(pages_ahead, pages_behind) = 2).
-  h.queue.OnJump(PrefetchKind::kVisualPage, 1, 40);
+  // stale (the workstation's radius, max(pages_ahead, pages_behind) = 2).
+  h.queue.OnJump(Page(1, 40), 2);
   EXPECT_EQ(h.Count("wasted"), 2);     // Ready pages 2, 3: work discarded.
   EXPECT_EQ(h.Count("cancelled"), 2);  // Queued pages 4, 5: never ran.
 
@@ -182,11 +182,11 @@ TEST(PrefetchQueueTest, JumpCancelsQueuedAndWastesReadyEntries) {
 }
 
 TEST(PrefetchQueueTest, JumpKeepsEntriesInsideTheNewRadius) {
-  QueueHarness h;  // pages_ahead 2 -> keep radius 2.
+  QueueHarness h;
   h.queue.WantPage(Page(1, 2), 1, h.Costing(MillisToMicros(5)));
   h.queue.WantPage(Page(1, 41), 39, h.Costing(MillisToMicros(5)));
   h.queue.Pump();
-  h.queue.OnJump(PrefetchKind::kVisualPage, 1, 40);
+  h.queue.OnJump(Page(1, 40), 2);
   // Page 41 is within radius of the new cursor: still ready for a hit.
   h.clock.Advance(MillisToMicros(100));
   EXPECT_TRUE(h.queue.TakePage(Page(1, 41)));
@@ -198,7 +198,7 @@ TEST(PrefetchQueueTest, JumpOnlyDropsTheMatchingObjectAndKind) {
   h.queue.WantPage(Page(1, 2), 1, h.Costing(MillisToMicros(5)));
   h.queue.WantPage(Page(2, 2), 1, h.Costing(MillisToMicros(5)));
   h.queue.Pump();
-  h.queue.OnJump(PrefetchKind::kVisualPage, 1, 40);
+  h.queue.OnJump(Page(1, 40), 2);
   h.clock.Advance(MillisToMicros(100));
   EXPECT_FALSE(h.queue.TakePage(Page(1, 2)));  // Stale.
   EXPECT_TRUE(h.queue.TakePage(Page(2, 2)));   // Another object: kept.
@@ -465,14 +465,11 @@ class ScanModel {
     }
   }
 
-  void OnJump(PrefetchKind kind, uint64_t object_id, int cursor) {
-    const int radius = kind == PrefetchKind::kMiniature
-                           ? options_.miniature_radius
-                           : std::max(options_.pages_ahead,
-                                      options_.pages_behind);
+  void OnJump(const PrefetchKey& cursor, int radius) {
     DropIf([&](const PrefetchKey& key) {
-      return key.kind == kind && key.object_id == object_id &&
-             std::abs(key.index - cursor) > radius;
+      return key.kind == cursor.kind && key.object_id == cursor.object_id &&
+             key.owner == cursor.owner &&
+             std::abs(key.index - cursor.index) > radius;
     });
   }
 
@@ -672,9 +669,11 @@ void RunDifferential(uint64_t seed, int workers) {
       const auto kind = static_cast<PrefetchKind>(rng.Uniform(4));
       const uint64_t id =
           kind == PrefetchKind::kMiniature ? 0 : 1 + rng.Uniform(4);
-      const int cursor = 1 + static_cast<int>(rng.Uniform(10));
-      h.queue.OnJump(kind, id, cursor);
-      model.OnJump(kind, id, cursor);
+      const int index = 1 + static_cast<int>(rng.Uniform(10));
+      const PrefetchKey cursor{kind, id, index, rng.Uniform(kOwners)};
+      const int radius = static_cast<int>(rng.Uniform(4));
+      h.queue.OnJump(cursor, radius);
+      model.OnJump(cursor, radius);
     } else if (op < 94) {
       const auto kind = static_cast<PrefetchKind>(rng.Uniform(4));
       h.queue.Cancel(kind);
@@ -686,15 +685,11 @@ void RunDifferential(uint64_t seed, int workers) {
       model.DropIf([id](const PrefetchKey& key) {
         return key.kind != PrefetchKind::kMiniature && key.object_id == id;
       });
-    } else if (op < 98) {
+    } else if (op < 99) {
       const uint64_t owner = rng.Uniform(kOwners);
       h.queue.CancelOwner(owner);
       model.DropIf(
           [owner](const PrefetchKey& key) { return key.owner == owner; });
-    } else if (op < 99) {
-      auto odd = [](const PrefetchKey& key) { return key.index % 2 == 1; };
-      h.queue.CancelWhere(odd);
-      model.DropIf(odd);
     } else {
       h.queue.CancelAll();
       model.DropIf([](const PrefetchKey&) { return true; });
@@ -1049,8 +1044,8 @@ TEST(ApportionStreamTest, SplitsEvenlyWithRemainderOnTheLastPage) {
 }
 
 // A stream smaller than its page count must still be delivered — the
-// whole of it rides with every page (the delivered-set makes the first
-// visitor the one that transfers it), not vanish into zero-byte chunks.
+// whole of it rides with every page (delivery is per page, so each page
+// a reader lands on carries it once), not vanish into zero-byte chunks.
 TEST(ApportionStreamTest, TinyStreamRidesWholeWithEveryPage) {
   for (int page = 1; page <= 9; ++page) {
     EXPECT_EQ(ApportionStream(5, page, 9),
