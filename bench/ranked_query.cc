@@ -128,6 +128,18 @@ double Precision(const std::vector<ObjectId>& ids) {
                            static_cast<double>(ids.size());
 }
 
+/// The ranked strip: the top-k hits, then their cards in rank order.
+std::vector<server::MiniatureCard> RankedStrip(
+    server::ObjectStore& store, const std::vector<std::string>& words,
+    const obs::TraceContext& ctx = {}) {
+  std::vector<ObjectId> ids;
+  for (const query::ScoredHit& hit : store.QueryRanked(
+           words, kTopK, query::QueryMode::kConjunctive, ctx)) {
+    ids.push_back(hit.id);
+  }
+  return store.GatherCards(ids, ctx);
+}
+
 int Run() {
   bench::PrintHeader("ranked_query",
                      "ranked top-k scatter/gather vs id-order browsing");
@@ -193,10 +205,9 @@ int Run() {
   for (int round = 0; round < kRounds; ++round) {
     obs::TraceSpan root = tracer.StartSpan("bench.ranked_gather");
     const Micros start = clock.Now();
-    auto cards = router.GatherCardsRanked(query, kTopK, 96, root.context());
-    if (!cards.ok() || cards->size() != kTopK) {
-      std::printf("FAIL: ranked gather returned %zu cards\n",
-                  cards.ok() ? cards->size() : 0);
+    const size_t cards = RankedStrip(router, query, root.context()).size();
+    if (cards != kTopK) {
+      std::printf("FAIL: ranked gather returned %zu cards\n", cards);
       return 1;
     }
     ranked_total += clock.Now() - start;
@@ -289,8 +300,7 @@ int Run() {
       std::unique_ptr<Topology> topo = BuildTopology(4, workers);
       for (int round = 0; round < 4; ++round) {
         out.hits = topo->router->QueryRanked(query, kTopK);
-        auto cards = topo->router->GatherCardsRanked(query, kTopK);
-        if (!cards.ok() || cards->size() != kTopK) std::abort();
+        if (RankedStrip(*topo->router, query).size() != kTopK) std::abort();
       }
       out.elapsed = topo->clock.Now();
       for (const auto& [name, value] : counter_values()) {
@@ -339,13 +349,12 @@ int Run() {
   {
     auto time_ranked_wall = [&](int workers, Micros* virt) -> double {
       std::unique_ptr<Topology> topo = BuildTopology(4, workers);
-      topo->router->GatherCardsRanked(query, kTopK).ok();  // Warm caches.
+      RankedStrip(*topo->router, query);  // Warm caches.
       const Micros virtual_start = topo->clock.Now();
       const auto wall_start = std::chrono::steady_clock::now();
       constexpr int kSpeedupRounds = 24;
       for (int round = 0; round < kSpeedupRounds; ++round) {
-        auto cards = topo->router->GatherCardsRanked(query, kTopK);
-        if (!cards.ok() || cards->size() != kTopK) std::abort();
+        if (RankedStrip(*topo->router, query).size() != kTopK) std::abort();
       }
       const std::chrono::duration<double> wall =
           std::chrono::steady_clock::now() - wall_start;

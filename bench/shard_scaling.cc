@@ -162,10 +162,10 @@ MatrixRun RunMatrixWorkload(int workers) {
     if (!router.Store(TextObject(id)).ok()) std::abort();
   }
   for (int q = 0; q < 4; ++q) {
-    auto got = router.GatherCards({"report"});
-    if (!got.ok()) std::abort();
-    out.cards += got->size();
-    for (const server::MiniatureCard& card : *got) {
+    const std::vector<server::MiniatureCard> got =
+        router.GatherCards(router.QueryAll({"report"}));
+    out.cards += got.size();
+    for (const server::MiniatureCard& card : got) {
       out.digest = Mix(out.digest, card.id);
       out.digest = Mix(out.digest, card.byte_size);
       out.digest = Mix(out.digest, BitsOf(card.score));
@@ -206,13 +206,15 @@ double TimeScatterWall(int workers, Micros* virtual_elapsed) {
   for (ObjectId id = 1; id <= kHeavyObjects; ++id) {
     if (!router.Store(PagedObject(id, 8)).ok()) std::abort();
   }
-  router.GatherCards({"report"}).ok();  // Warm the block caches.
+  router.GatherCards(router.QueryAll({"report"}));  // Warm the caches.
   const Micros virtual_start = clock.Now();
   const auto wall_start = std::chrono::steady_clock::now();
   constexpr int kRounds = 12;
   for (int q = 0; q < kRounds; ++q) {
-    auto got = router.GatherCards({"report"});
-    if (!got.ok() || got->size() != kHeavyObjects) std::abort();
+    if (router.GatherCards(router.QueryAll({"report"})).size() !=
+        kHeavyObjects) {
+      std::abort();
+    }
   }
   const std::chrono::duration<double> wall =
       std::chrono::steady_clock::now() - wall_start;
@@ -256,13 +258,12 @@ int Run() {
         "shard_scaling.shards_" + std::to_string(n) + ".query_us");
     for (int q = 0; q < kQueries; ++q) {
       const Micros start = clock.Now();
-      auto got = router.GatherCards({"report"});
-      if (!got.ok() || got->size() != kObjects) {
+      cards = router.GatherCards(router.QueryAll({"report"})).size();
+      if (cards != kObjects) {
         std::printf("FAIL: %zu-shard query returned %zu cards\n", n,
-                    got.ok() ? got->size() : 0);
+                    cards);
         complete = false;
       }
-      cards = got.ok() ? got->size() : 0;
       query_us->Record(static_cast<double>(clock.Now() - start));
     }
     const Micros elapsed = clock.Now() - sweep_start;
@@ -323,8 +324,8 @@ int Run() {
     for (int q = 0; q < count; ++q) {
       obs::TraceSpan root = tracer.StartSpan("bench.scatter_query");
       const Micros start = clock.Now();
-      auto got = router.GatherCards({"report"}, 96, root.context());
-      if (!got.ok() || got->size() != kPagedObjects) {
+      if (router.GatherCards(router.QueryAll({"report"}), root.context())
+              .size() != kPagedObjects) {
         return -1.0;
       }
       sum += clock.Now() - start;

@@ -338,15 +338,14 @@ std::vector<query::ScoredHit> ObjectServer::QueryRanked(
   return QueryRankedWith(words, k, mode, scored_index_, ctx);
 }
 
-StatusOr<std::vector<MiniatureCard>> ObjectServer::GatherCards(
-    const std::vector<std::string>& words, int thumb_width,
-    const obs::TraceContext& ctx) {
+std::vector<MiniatureCard> ObjectServer::GatherCards(
+    const std::vector<ObjectId>& ids, const obs::TraceContext& ctx) {
   std::optional<obs::TraceSpan> span =
       obs::MaybeStartSpan(tracer_, "server.gather_cards", ctx);
   std::vector<MiniatureCard> cards;
-  for (ObjectId id : QueryAll(words)) {
+  for (ObjectId id : ids) {
     StatusOr<MiniatureCard> card =
-        FetchMiniature(id, thumb_width, obs::ContextOf(span));
+        FetchMiniature(id, 96, obs::ContextOf(span));
     if (!card.ok()) {
       // One unbuildable card must not sink the strip: drop it and let
       // the caller present the partial strip degraded.
@@ -360,29 +359,6 @@ StatusOr<std::vector<MiniatureCard>> ObjectServer::GatherCards(
   return cards;
 }
 
-StatusOr<std::vector<MiniatureCard>> ObjectServer::GatherCardsRanked(
-    const std::vector<std::string>& words, size_t k, int thumb_width,
-    const obs::TraceContext& ctx) {
-  std::optional<obs::TraceSpan> span =
-      obs::MaybeStartSpan(tracer_, "server.gather_ranked", ctx);
-  std::vector<MiniatureCard> cards;
-  for (const query::ScoredHit& hit :
-       QueryRanked(words, k, query::QueryMode::kConjunctive,
-                   obs::ContextOf(span))) {
-    StatusOr<MiniatureCard> card =
-        FetchMiniature(hit.id, thumb_width, obs::ContextOf(span));
-    if (!card.ok()) {
-      obs::MetricsRegistry::Default()
-          .counter("server.cards_dropped")
-          ->Increment();
-      continue;
-    }
-    card->score = hit.score;
-    cards.push_back(*std::move(card));
-  }
-  return cards;
-}
-
 StatusOr<const ObjectServer::CatalogEntry*> ObjectServer::Lookup(
     ObjectId id) const {
   auto it = catalog_.find(id);
@@ -391,6 +367,28 @@ StatusOr<const ObjectServer::CatalogEntry*> ObjectServer::Lookup(
                             " is not archived at this server");
   }
   return &it->second;
+}
+
+StatusOr<ObjectServer::PartExtent> ObjectServer::LocatePart(
+    ObjectId id, std::string_view part_name) const {
+  MINOS_ASSIGN_OR_RETURN(const CatalogEntry* entry, Lookup(id));
+  MINOS_ASSIGN_OR_RETURN(object::PartPointer part,
+                         entry->descriptor.FindPart(part_name));
+  // A pointer part's offset is already absolute; an inline part sits in
+  // the payload of the object's own archive image.
+  const uint64_t base =
+      part.in_archiver ? 0 : entry->address.offset + entry->payload_base;
+  return PartExtent{base + part.offset, part.length};
+}
+
+Status ObjectServer::ChargeLink(uint64_t bytes,
+                                const obs::TraceContext& ctx) {
+  if (link_ == nullptr) return Status::OK();
+  return RetryWithBackoff<Micros>(
+             retry_policy_, clock_, &retry_rng_, backoff_sleeper_,
+             [&] { return link_->Transfer(bytes, ctx); },
+             RetryTrace{tracer_, ctx})
+      .status();
 }
 
 StatusOr<std::string> ObjectServer::ReadAndDeliver(
@@ -456,17 +454,11 @@ Status ObjectServer::StagePartRange(ObjectId id, std::string_view part_name,
   std::optional<obs::TraceSpan> span =
       obs::MaybeStartSpan(tracer_, "server.stage", ctx);
   if (span.has_value()) span->AddTag("part", std::string(part_name));
-  MINOS_ASSIGN_OR_RETURN(const CatalogEntry* entry, Lookup(id));
-  MINOS_ASSIGN_OR_RETURN(object::PartPointer part,
-                         entry->descriptor.FindPart(part_name));
+  MINOS_ASSIGN_OR_RETURN(const PartExtent part, LocatePart(id, part_name));
   if (offset >= part.length) return Status::OK();
   length = std::min(length, part.length - offset);
   if (length == 0) return Status::OK();
-  const uint64_t base =
-      part.in_archiver
-          ? part.offset
-          : entry->address.offset + entry->payload_base + part.offset;
-  const uint64_t abs_offset = base + offset;
+  const uint64_t abs_offset = part.offset + offset;
   if (scheduler_ == nullptr) {
     std::string scratch;
     return archiver_->ReadRange(abs_offset, length, &scratch);
@@ -587,42 +579,19 @@ StatusOr<MiniatureCard> ObjectServer::FetchMiniature(
     card.thumb = image::Bitmap(thumb_width, thumb_width / 2);
   }
   card.byte_size = card.thumb.ByteSize() + card.preview_transcript.size();
-  if (link_ != nullptr) {
-    const obs::TraceContext sctx = obs::ContextOf(span);
-    MINOS_RETURN_IF_ERROR(
-        RetryWithBackoff<Micros>(retry_policy_, clock_, &retry_rng_,
-                                 backoff_sleeper_,
-                                 [&] {
-                                   return link_->Transfer(card.byte_size,
-                                                          sctx);
-                                 },
-                                 RetryTrace{tracer_, sctx}).status());
-  }
+  MINOS_RETURN_IF_ERROR(ChargeLink(card.byte_size, obs::ContextOf(span)));
   return card;
 }
 
 StatusOr<image::Image> ObjectServer::FetchImage(ObjectId id,
                                                 uint32_t image_index) {
-  MINOS_ASSIGN_OR_RETURN(const CatalogEntry* entry, Lookup(id));
   MINOS_ASSIGN_OR_RETURN(
-      object::PartPointer part,
-      entry->descriptor.FindPart("image:" + std::to_string(image_index)));
+      const PartExtent part,
+      LocatePart(id, "image:" + std::to_string(image_index)));
   std::string payload;
-  if (part.in_archiver) {
-    MINOS_RETURN_IF_ERROR(
-        archiver_->ReadRange(part.offset, part.length, &payload));
-  } else {
-    MINOS_RETURN_IF_ERROR(archiver_->ReadRange(
-        entry->address.offset + entry->payload_base + part.offset,
-        part.length, &payload));
-  }
-  if (link_ != nullptr) {
-    MINOS_RETURN_IF_ERROR(
-        RetryWithBackoff<Micros>(retry_policy_, clock_, &retry_rng_,
-                                 backoff_sleeper_, [&] {
-                                   return link_->Transfer(payload.size());
-                                 }).status());
-  }
+  MINOS_RETURN_IF_ERROR(
+      archiver_->ReadRange(part.offset, part.length, &payload));
+  MINOS_RETURN_IF_ERROR(ChargeLink(payload.size(), {}));
   return image::Image::Deserialize(payload);
 }
 
@@ -632,20 +601,15 @@ StatusOr<image::Bitmap> ObjectServer::FetchImageRegion(
   std::optional<obs::TraceSpan> span =
       obs::MaybeStartSpan(tracer_, "server.region", ctx);
   if (span.has_value()) span->AddTag("object", static_cast<int64_t>(id));
-  MINOS_ASSIGN_OR_RETURN(const CatalogEntry* entry, Lookup(id));
   MINOS_ASSIGN_OR_RETURN(
-      object::PartPointer part,
-      entry->descriptor.FindPart("image:" + std::to_string(image_index)));
-  const uint64_t part_base =
-      part.in_archiver
-          ? part.offset
-          : entry->address.offset + entry->payload_base + part.offset;
+      const PartExtent part,
+      LocatePart(id, "image:" + std::to_string(image_index)));
 
   // Decode the serialized-image header: [kind][varint w][varint h].
   std::string header;
   const uint64_t header_probe = std::min<uint64_t>(part.length, 16);
   MINOS_RETURN_IF_ERROR(
-      archiver_->ReadRange(part_base, header_probe, &header));
+      archiver_->ReadRange(part.offset, header_probe, &header));
   if (header.empty() || header[0] != 0) {
     return Status::Unsupported(
         "region fetch is only defined for bitmap images");
@@ -666,24 +630,13 @@ StatusOr<image::Bitmap> ObjectServer::FetchImageRegion(
         header_size +
         static_cast<uint64_t>(clipped.y + y) * w + clipped.x;
     MINOS_RETURN_IF_ERROR(archiver_->ReadRange(
-        part_base + row_offset, static_cast<uint64_t>(clipped.w), &row));
+        part.offset + row_offset, static_cast<uint64_t>(clipped.w), &row));
     for (int x = 0; x < clipped.w; ++x) {
       out.Set(x, y, static_cast<uint8_t>(row[static_cast<size_t>(x)]));
     }
   }
-  if (link_ != nullptr) {
-    const obs::TraceContext sctx = obs::ContextOf(span);
-    MINOS_RETURN_IF_ERROR(RetryWithBackoff<Micros>(
-                              retry_policy_, clock_, &retry_rng_,
-                              backoff_sleeper_,
-                              [&] {
-                                return link_->Transfer(
-                                    static_cast<uint64_t>(clipped.area()),
-                                    sctx);
-                              },
-                              RetryTrace{tracer_, sctx})
-                              .status());
-  }
+  MINOS_RETURN_IF_ERROR(ChargeLink(static_cast<uint64_t>(clipped.area()),
+                                   obs::ContextOf(span)));
   return out;
 }
 

@@ -198,19 +198,14 @@ class ObjectServer : public ObjectStore {
       storage::ObjectId id, int thumb_width = 96,
       const obs::TraceContext& ctx = {}) override;
 
-  /// Evaluates the query and gathers the cards of every match, serially
-  /// (one machine, one arm: card costs add up). Cards that cannot be
-  /// built — a storm that outlasts the retry budget — are dropped from
-  /// the strip (counted in "server.cards_dropped") instead of failing
-  /// the whole query; the caller presents the partial strip degraded.
-  StatusOr<std::vector<MiniatureCard>> GatherCards(
-      const std::vector<std::string>& words, int thumb_width = 96,
+  /// Builds the cards of `ids` serially, in the order given (one
+  /// machine, one arm: card costs add up). Cards that cannot be built —
+  /// a storm that outlasts the retry budget — are dropped from the strip
+  /// (counted in "server.cards_dropped") instead of failing the whole
+  /// query; the caller presents the partial strip degraded.
+  std::vector<MiniatureCard> GatherCards(
+      const std::vector<storage::ObjectId>& ids,
       const obs::TraceContext& ctx = {}) override;
-
-  /// Ranked gather, serially: top-k query, then cards best-first.
-  StatusOr<std::vector<MiniatureCard>> GatherCardsRanked(
-      const std::vector<std::string>& words, size_t k,
-      int thumb_width = 96, const obs::TraceContext& ctx = {}) override;
 
   /// Retrieval ------------------------------------------------------------
 
@@ -283,6 +278,19 @@ class ObjectServer : public ObjectStore {
   };
 
   StatusOr<const CatalogEntry*> Lookup(storage::ObjectId id) const;
+
+  /// Where part `part_name` of a cataloged object lies in the archive.
+  struct PartExtent {
+    uint64_t offset = 0;  ///< Absolute archive byte offset.
+    uint64_t length = 0;
+  };
+  StatusOr<PartExtent> LocatePart(storage::ObjectId id,
+                                  std::string_view part_name) const;
+
+  /// Charges the link for delivering `bytes` under the retry policy (a
+  /// no-op without a link). With a valid `ctx` the transfer and every
+  /// backoff window record spans under it.
+  Status ChargeLink(uint64_t bytes, const obs::TraceContext& ctx);
 
   /// Shared Store / AcceptReplica tail: parses the descriptor out of
   /// the serialized bytes, installs the catalog entry and (when

@@ -31,7 +31,9 @@ struct MiniatureCard {
   image::Bitmap thumb;            ///< Small bitmap of the first visual page.
   std::string preview_transcript; ///< First spoken words (audio objects).
   uint64_t byte_size = 0;         ///< Transfer cost of this card.
-  double score = 0;               ///< Relevance (ranked gathers only).
+  /// Relevance of the ranked hit the card stands for; 0 in an unranked
+  /// strip. The workstation attaches it: GatherCards leaves it 0.
+  double score = 0;
 };
 
 /// How much of an object one Fetch transfers over the link.
@@ -112,9 +114,12 @@ class ObjectStore {
       query::QueryMode mode = query::QueryMode::kConjunctive,
       const obs::TraceContext& ctx = {}) const = 0;
 
-  /// Monotonic catalog version: bumped by every successful Store. The
+  /// Monotonic stamp of everything a ranked answer depends on: bumped
+  /// by every successful Store and Append and, for a sharded store, by
+  /// every routing-table change (a shard lost or healed). The
   /// workstation's query-result cache stamps entries with it, so an
-  /// insertion invalidates every strip ranked before it.
+  /// insertion — or a shard coming back — invalidates every strip ranked
+  /// before it.
   virtual uint64_t catalog_version() const = 0;
 
   /// Builds and transfers the miniature card of one object.
@@ -122,22 +127,15 @@ class ObjectStore {
       storage::ObjectId id, int thumb_width = 96,
       const obs::TraceContext& ctx = {}) = 0;
 
-  /// Evaluates the query and gathers the miniature cards of every match,
-  /// ordered by ascending object id. A sharded store scatters the
-  /// per-shard card work and overlaps it (the clock advances by the
-  /// slowest shard, not the sum); a single server does it serially.
-  virtual StatusOr<std::vector<MiniatureCard>> GatherCards(
-      const std::vector<std::string>& words, int thumb_width = 96,
+  /// Builds the miniature cards of `ids` (picked by QueryAll or
+  /// QueryRanked), in the order given. A card that cannot be built is
+  /// dropped from the strip — a partial, degraded answer beats no
+  /// answer. A sharded store scatters the per-shard card work and
+  /// overlaps it (the clock advances by the slowest shard, not the sum);
+  /// a single server does it serially.
+  virtual std::vector<MiniatureCard> GatherCards(
+      const std::vector<storage::ObjectId>& ids,
       const obs::TraceContext& ctx = {}) = 0;
-
-  /// Ranked gather: evaluates QueryRanked and returns the miniature
-  /// cards of the top `k` matches in relevance order (each card carries
-  /// its score), so the presentation layer browses best-first. Cards
-  /// that cannot be built are dropped from the strip — a partial,
-  /// degraded answer beats no answer.
-  virtual StatusOr<std::vector<MiniatureCard>> GatherCardsRanked(
-      const std::vector<std::string>& words, size_t k,
-      int thumb_width = 96, const obs::TraceContext& ctx = {}) = 0;
 
   /// Fetches an object (descriptor + composition) over the link.
   virtual StatusOr<object::MultimediaObject> Fetch(

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "minos/runtime/task_pool.h"
@@ -293,6 +294,13 @@ StatusOr<uint32_t> ShardRouter::Append(ObjectId id,
   return first;
 }
 
+uint64_t ShardRouter::catalog_version() const {
+  RefreshLiveness();
+  // Both terms only grow, so the sum is monotonic and moves whenever
+  // either does.
+  return catalog_version_ + routing_epoch_;
+}
+
 std::vector<query::ScoredHit> ShardRouter::QueryRanked(
     const std::vector<std::string>& words, size_t k, query::QueryMode mode,
     const obs::TraceContext& ctx) const {
@@ -408,43 +416,38 @@ StatusOr<MiniatureCard> ShardRouter::FetchMiniature(
       obs::ContextOf(span));
 }
 
-std::vector<MiniatureCard> ShardRouter::ScatterCards(
-    const std::vector<ObjectId>& matches, int thumb_width,
-    const obs::TraceContext& ctx) {
+std::vector<MiniatureCard> ShardRouter::GatherCards(
+    const std::vector<ObjectId>& ids, const obs::TraceContext& ctx) {
   std::optional<obs::TraceSpan> scatter =
-      obs::MaybeStartSpan(tracer_, "router.scatter_cards", ctx);
+      obs::MaybeStartSpan(tracer_, "router.gather_cards", ctx);
   RefreshLiveness();
-  // Partition the matches by their first live replica — the shard whose
-  // card-building work they will ride.
-  std::vector<std::vector<ObjectId>> share(shards_.size());
-  std::vector<ObjectId> unrouted;
-  for (ObjectId id : matches) {
+  // Partition the positions in `ids` by their object's first live
+  // replica — the shard whose card-building work they will ride.
+  std::vector<std::vector<size_t>> share(shards_.size());
+  std::vector<size_t> unrouted;
+  for (size_t i = 0; i < ids.size(); ++i) {
     bool placed = false;
-    for (size_t shard : ReplicaChain(id)) {
+    for (size_t shard : ReplicaChain(ids[i])) {
       if (!live_[shard]) continue;
-      share[shard].push_back(id);
+      share[shard].push_back(i);
       placed = true;
       break;
     }
-    if (!placed) unrouted.push_back(id);
+    if (!placed) unrouted.push_back(i);
   }
 
   // Scatter: every shard builds its share as one pool task in its own
   // virtual-time frame, then the gather barrier advances by the slowest
-  // shard — the fan-out runs in parallel in the modeled system. Each
-  // share collects its cards, failed ids and error count into its own
-  // slot; the post-barrier pass folds them — and the RED bookkeeping —
-  // in shard order.
+  // shard — the fan-out runs in parallel in the modeled system. A share
+  // writes only the card slots of its own positions and its own list of
+  // failed positions; the post-barrier pass folds the failures — and
+  // the RED bookkeeping — in shard order.
   std::vector<size_t> targets;
   for (size_t shard = 0; shard < shards_.size(); ++shard) {
     if (!share[shard].empty()) targets.push_back(shard);
   }
-  struct ShareResult {
-    std::vector<MiniatureCard> cards;
-    std::vector<ObjectId> retry;
-    int64_t errors = 0;
-  };
-  std::vector<ShareResult> results(targets.size());
+  std::vector<std::optional<MiniatureCard>> built(ids.size());
+  std::vector<std::vector<size_t>> failed(targets.size());
   std::vector<runtime::TaskPool::Task> tasks;
   tasks.reserve(targets.size());
   for (size_t t = 0; t < targets.size(); ++t) {
@@ -457,36 +460,29 @@ std::vector<MiniatureCard> ShardRouter::ScatterCards(
         shard_span->AddTag("cards",
                            static_cast<int64_t>(share[shard].size()));
       }
-      ShareResult& result = results[t];
-      for (ObjectId id : share[shard]) {
+      for (size_t i : share[shard]) {
         StatusOr<MiniatureCard> got = shards_[shard]->FetchMiniature(
-            id, thumb_width, obs::ContextOf(shard_span));
+            ids[i], 96, obs::ContextOf(shard_span));
         if (got.ok()) {
-          result.cards.push_back(*std::move(got));
+          built[i] = *std::move(got);
         } else {
-          ++result.errors;
-          result.retry.push_back(id);
+          failed[t].push_back(i);
         }
       }
       if (shard_span.has_value()) shard_span->End();
     });
   }
   const std::vector<Micros> costs = pool_->RunEpoch(std::move(tasks));
-  std::vector<MiniatureCard> cards;
-  std::vector<ObjectId> retry_elsewhere = std::move(unrouted);
+  std::vector<size_t> retry_elsewhere = std::move(unrouted);
   Micros slowest = 0;
   for (size_t t = 0; t < targets.size(); ++t) {
     const size_t shard = targets[t];
-    ShareResult& result = results[t];
-    if (result.errors > 0) red_[shard].errors->Increment(result.errors);
+    red_[shard].errors->Increment(static_cast<int64_t>(failed[t].size()));
     red_[shard].requests->Increment();
     red_[shard].duration_us->Record(static_cast<double>(costs[t]));
     slowest = std::max(slowest, costs[t]);
-    for (MiniatureCard& card : result.cards) {
-      cards.push_back(std::move(card));
-    }
-    retry_elsewhere.insert(retry_elsewhere.end(), result.retry.begin(),
-                           result.retry.end());
+    retry_elsewhere.insert(retry_elsewhere.end(), failed[t].begin(),
+                           failed[t].end());
   }
   gather_us_->Record(static_cast<double>(slowest));
 
@@ -494,11 +490,11 @@ std::vector<MiniatureCard> ShardRouter::ScatterCards(
   // failed mid-gather retry through the replica chain; ids no replica
   // can serve drop out of the strip rather than failing the query.
   uint64_t dropped = 0;
-  for (ObjectId id : retry_elsewhere) {
+  for (size_t i : retry_elsewhere) {
     StatusOr<MiniatureCard> got =
-        FetchMiniature(id, thumb_width, obs::ContextOf(scatter));
+        FetchMiniature(ids[i], 96, obs::ContextOf(scatter));
     if (got.ok()) {
-      cards.push_back(*std::move(got));
+      built[i] = *std::move(got);
     } else {
       dropped_results_->Increment();
       ++dropped;
@@ -508,53 +504,12 @@ std::vector<MiniatureCard> ShardRouter::ScatterCards(
     scatter->AddTag("dropped", static_cast<int64_t>(dropped));
   }
 
-  return cards;
-}
-
-StatusOr<std::vector<MiniatureCard>> ShardRouter::GatherCards(
-    const std::vector<std::string>& words, int thumb_width,
-    const obs::TraceContext& ctx) {
-  std::optional<obs::TraceSpan> span =
-      obs::MaybeStartSpan(tracer_, "router.gather_cards", ctx);
-  const std::vector<ObjectId> matches = QueryAll(words);
-  std::vector<MiniatureCard> cards =
-      ScatterCards(matches, thumb_width, obs::ContextOf(span));
-  std::sort(cards.begin(), cards.end(),
-            [](const MiniatureCard& a, const MiniatureCard& b) {
-              return a.id < b.id;
-            });
-  return cards;
-}
-
-StatusOr<std::vector<MiniatureCard>> ShardRouter::GatherCardsRanked(
-    const std::vector<std::string>& words, size_t k, int thumb_width,
-    const obs::TraceContext& ctx) {
-  std::optional<obs::TraceSpan> span =
-      obs::MaybeStartSpan(tracer_, "router.gather_ranked", ctx);
-  const std::vector<query::ScoredHit> hits = QueryRanked(
-      words, k, query::QueryMode::kConjunctive, obs::ContextOf(span));
-  std::vector<ObjectId> ids;
-  ids.reserve(hits.size());
-  for (const query::ScoredHit& hit : hits) ids.push_back(hit.id);
-
-  std::vector<MiniatureCard> cards =
-      ScatterCards(ids, thumb_width, obs::ContextOf(span));
-  std::map<ObjectId, MiniatureCard> by_id;
-  for (MiniatureCard& card : cards) {
-    by_id.emplace(card.id, std::move(card));
+  std::vector<MiniatureCard> cards;
+  cards.reserve(ids.size() - dropped);
+  for (std::optional<MiniatureCard>& card : built) {
+    if (card.has_value()) cards.push_back(*std::move(card));
   }
-
-  // Reassemble in relevance order; hits whose card got dropped leave a
-  // gap the presentation layer reports as a degraded strip.
-  std::vector<MiniatureCard> strip;
-  strip.reserve(hits.size());
-  for (const query::ScoredHit& hit : hits) {
-    auto it = by_id.find(hit.id);
-    if (it == by_id.end()) continue;
-    it->second.score = hit.score;
-    strip.push_back(std::move(it->second));
-  }
-  return strip;
+  return cards;
 }
 
 StatusOr<MultimediaObject> ShardRouter::Fetch(

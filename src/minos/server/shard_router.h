@@ -132,7 +132,10 @@ class ShardRouter : public ObjectStore {
       query::QueryMode mode = query::QueryMode::kConjunctive,
       const obs::TraceContext& ctx = {}) const override;
 
-  uint64_t catalog_version() const override { return catalog_version_; }
+  /// Refreshes liveness, then folds the routing epoch into the catalog
+  /// version: a shard lost or healed changes which postings a ranked
+  /// scatter can reach, so it invalidates ranked strips like a Store.
+  uint64_t catalog_version() const override;
 
   /// The catalog-wide stats-only index every shard scores against
   /// (exposed read-only so tests can assert delta-sync exactness).
@@ -142,23 +145,16 @@ class ShardRouter : public ObjectStore {
       storage::ObjectId id, int thumb_width = 96,
       const obs::TraceContext& ctx = {}) override;
 
-  /// Scatter/gather card fetch: each live shard builds the cards of the
-  /// matches it is the first live replica for, the clock advances by the
-  /// slowest shard. Cards whose every replica is unreachable are dropped
-  /// from the strip (counted dropped_results_total) — a degraded but
-  /// non-empty answer beats no answer.
-  StatusOr<std::vector<MiniatureCard>> GatherCards(
-      const std::vector<std::string>& words, int thumb_width = 96,
+  /// Scatter/gather card fetch: partitions `ids` by first live replica,
+  /// builds each shard's share as one pool task (the clock advances by
+  /// the slowest shard), fails over serially the ids whose shard died
+  /// mid-gather, and returns the cards in the order of `ids`. Cards whose
+  /// every replica is unreachable are dropped from the strip (counted
+  /// dropped_results_total) — a degraded but non-empty answer beats no
+  /// answer.
+  std::vector<MiniatureCard> GatherCards(
+      const std::vector<storage::ObjectId>& ids,
       const obs::TraceContext& ctx = {}) override;
-
-  /// Ranked scatter/gather card fetch: QueryRanked picks the top-k,
-  /// each live shard builds the cards of the hits it is the first live
-  /// replica for (clock advances by the slowest shard), and the strip
-  /// comes back in relevance order with scores attached. Hits whose
-  /// every replica is unreachable are dropped (dropped_results_total).
-  StatusOr<std::vector<MiniatureCard>> GatherCardsRanked(
-      const std::vector<std::string>& words, size_t k,
-      int thumb_width = 96, const obs::TraceContext& ctx = {}) override;
 
   StatusOr<object::MultimediaObject> Fetch(
       storage::ObjectId id,
@@ -183,7 +179,7 @@ class ShardRouter : public ObjectStore {
   /// through each shard, its link), so one tracer sees the whole fabric.
   void SetTracer(obs::Tracer* tracer) override;
 
-  /// Attaches the task pool QueryRanked / QueryAll / ScatterCards run
+  /// Attaches the task pool QueryRanked / QueryAll / GatherCards run
   /// their one task per live shard on (borrowed; null restores the
   /// router's own zero-worker pool, which runs the shares inline). With
   /// workers the shares run on real cores and, while a router task runs,
@@ -278,14 +274,6 @@ class ShardRouter : public ObjectStore {
 
  private:
   friend class RepairManager;
-  /// Shared scatter engine of both gathers: partitions `matches` by
-  /// first live replica, builds each shard's share as one pool task
-  /// (gather barrier = slowest shard), serially fails over ids
-  /// whose shard died mid-gather, and drops unreachable ids
-  /// (dropped_results_total). Returns cards in arbitrary order.
-  std::vector<MiniatureCard> ScatterCards(
-      const std::vector<storage::ObjectId>& matches, int thumb_width,
-      const obs::TraceContext& ctx = {});
 
   /// Replica ring of an id: primary, then successors mod shard count,
   /// `replication` entries total (clamped to the shard count). The

@@ -286,29 +286,11 @@ StatusOr<MiniatureBrowser> Workstation::Query(
     const std::vector<std::string>& words) {
   std::optional<obs::TraceSpan> span;
   if (tracer_ != nullptr) span = tracer_->StartSpan("ws.query");
-  if (prefetch_ == nullptr) {
-    // The store owns the gather: a single server builds cards serially,
-    // a sharded one scatters the work and overlaps the shards.
-    const std::vector<storage::ObjectId> matches = server_->QueryAll(words);
-    MINOS_ASSIGN_OR_RETURN(
-        std::vector<MiniatureCard> cards,
-        server_->GatherCards(words, 96, obs::ContextOf(span)));
-    std::set<storage::ObjectId> built;
-    for (const MiniatureCard& card : cards) {
-      thumb_cache_[card.id] = card.thumb;
-      built.insert(card.id);
-    }
-    // The store drops unbuildable cards rather than failing the strip;
-    // surface each gap so the session knows the answer is partial.
-    for (storage::ObjectId id : matches) {
-      if (built.count(id) == 0) {
-        presentation_.NoteDegraded(id, "miniature",
-                                   "card not delivered; dropped from strip");
-      }
-    }
-    return MiniatureBrowser(std::move(cards));
+  std::vector<query::ScoredHit> hits;
+  for (storage::ObjectId id : server_->QueryAll(words)) {
+    hits.push_back(query::ScoredHit{id, 0});
   }
-  return LazyStrip(server_->QueryAll(words), {});
+  return Strip(hits, obs::ContextOf(span));
 }
 
 StatusOr<MiniatureBrowser> Workstation::QueryRanked(
@@ -328,60 +310,52 @@ StatusOr<MiniatureBrowser> Workstation::QueryRanked(
     hits = server_->QueryRanked(words, k, mode, obs::ContextOf(span));
     ranked_cache_.Insert(key, server_->catalog_version(), hits);
   }
+  return Strip(hits, obs::ContextOf(span));
+}
 
-  if (prefetch_ == nullptr) {
-    // Eager: cards best-first, each carrying its score. An unfetchable
-    // hit leaves the strip (noted degraded) rather than failing it.
-    std::vector<MiniatureCard> cards;
-    cards.reserve(hits.size());
-    for (const query::ScoredHit& hit : hits) {
-      StatusOr<MiniatureCard> card =
-          server_->FetchMiniature(hit.id, 96, obs::ContextOf(span));
-      if (!card.ok()) {
-        presentation_.NoteDegraded(hit.id, "miniature",
-                                   "ranked card not delivered (" +
-                                       card.status().message() +
-                                       "); dropped from strip");
-        continue;
-      }
-      card->score = hit.score;
-      thumb_cache_[hit.id] = card->thumb;
-      cards.push_back(*std::move(card));
-    }
-    return MiniatureBrowser(std::move(cards));
-  }
-
-  // Prefetching: lazy strip over the ranked ids, best first.
+MiniatureBrowser Workstation::Strip(const std::vector<query::ScoredHit>& hits,
+                                    const obs::TraceContext& ctx) {
   std::vector<storage::ObjectId> ids;
-  std::map<storage::ObjectId, double> scores;
   ids.reserve(hits.size());
+  for (const query::ScoredHit& hit : hits) ids.push_back(hit.id);
+  if (prefetch_ != nullptr) return LazyStrip(ids, hits);
+  // The store owns the gather: a single server builds cards serially,
+  // a sharded one scatters the work and overlaps the shards. The cards
+  // come back in hit order, minus any the store could not build; each
+  // such gap is noted so the session knows the answer is partial.
+  std::vector<MiniatureCard> cards = server_->GatherCards(ids, ctx);
+  auto card = cards.begin();
   for (const query::ScoredHit& hit : hits) {
-    ids.push_back(hit.id);
-    scores.emplace(hit.id, hit.score);
+    if (card == cards.end() || card->id != hit.id) {
+      presentation_.NoteDegraded(hit.id, "miniature",
+                                 "card not delivered; dropped from strip");
+      continue;
+    }
+    card->score = hit.score;
+    thumb_cache_[hit.id] = card->thumb;
+    ++card;
   }
-  return LazyStrip(ids, std::move(scores));
+  return MiniatureBrowser(std::move(cards));
 }
 
 MiniatureBrowser Workstation::LazyStrip(
     const std::vector<storage::ObjectId>& ids,
-    std::map<storage::ObjectId, double> scores) {
+    std::vector<query::ScoredHit> hits) {
   // A new query builds a new strip: cards staged for the old strip are
   // keyed by position only and would otherwise be delivered as the
   // cards of whatever objects now occupy those positions.
   prefetch_->Cancel(PrefetchKind::kMiniature);
   // Cards materialize under the cursor, claiming staged ones first.
   MiniatureBrowser browser(
-      ids, [this, scores = std::move(scores)](storage::ObjectId id,
-                                               int position) {
-        auto scored = scores.find(id);
-        const double score = scored != scores.end() ? scored->second : 0;
+      ids, [this, hits = std::move(hits)](storage::ObjectId id,
+                                           int position) {
         std::optional<MiniatureCard> staged =
             prefetch_->TakeMiniature(position, id);
         StatusOr<MiniatureCard> card =
             staged.has_value() ? StatusOr<MiniatureCard>(*std::move(staged))
                                : server_->FetchMiniature(id, 96, CurCtx());
         if (card.ok()) {
-          card->score = score;
+          card->score = hits[static_cast<size_t>(position)].score;
           thumb_cache_[id] = card->thumb;
         }
         return card;

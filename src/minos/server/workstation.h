@@ -144,7 +144,8 @@ class Workstation {
   /// relevance order, each card carrying its score. The ranked hit list
   /// is served from a workstation-side cache when the archive has not
   /// changed since it was computed (entries are stamped with the store's
-  /// catalog version, so any Store invalidates them); the scatter/merge
+  /// catalog version, so any Store or Append — and, for a sharded store,
+  /// any shard lost or healed — invalidates them); the scatter/merge
   /// only re-runs on a miss. Unfetchable cards degrade the strip.
   StatusOr<MiniatureBrowser> QueryRanked(
       const std::vector<std::string>& words, size_t k);
@@ -226,13 +227,20 @@ class Workstation {
                               : obs::TraceContext{};
   }
 
-  /// The prefetching miniature strip over `ids`: each card claims its
-  /// staged fetch first, carries its score from `scores` (0 when
-  /// absent) and leaves its thumb in the thumb cache, and the cursor
-  /// steers the pipeline at the flanks. Cancels the previous strip's
-  /// staged cards.
+  /// The strip builder both queries hand their hits to: the strip over
+  /// `hits` in order, each card carrying its hit's score and leaving its
+  /// thumb in the thumb cache. With prefetch on it is the LazyStrip;
+  /// otherwise one store gather (traced under `ctx`) builds every card
+  /// up front, and each hit whose card the store dropped is noted
+  /// degraded.
+  MiniatureBrowser Strip(const std::vector<query::ScoredHit>& hits,
+                         const obs::TraceContext& ctx);
+
+  /// The prefetching strip over `ids` (the ids of `hits`): each card
+  /// claims its staged fetch first, and the cursor steers the pipeline
+  /// at the flanks. Cancels the previous strip's staged cards.
   MiniatureBrowser LazyStrip(const std::vector<storage::ObjectId>& ids,
-                             std::map<storage::ObjectId, double> scores);
+                             std::vector<query::ScoredHit> hits);
 
   /// Cursor-event handlers (prefetch enabled only).
   void OnBrowse(const core::PresentationManager::BrowseEvent& event);

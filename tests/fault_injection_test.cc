@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 
 #include "minos/core/presentation_manager.h"
@@ -738,12 +739,16 @@ TEST_F(FaultedServerTest, StormDuringRankedGatherDegradesNotCrashes) {
     const std::vector<query::ScoredHit> hits =
         server_.QueryRanked({"ranked"}, 10);
     EXPECT_EQ(hits.size(), 4u);
-    auto cards = server_.GatherCardsRanked({"ranked"}, 10);
-    ASSERT_TRUE(cards.ok()) << cards.status().ToString();
-    EXPECT_LE(cards->size(), hits.size());
+    std::vector<storage::ObjectId> ids;
+    for (const query::ScoredHit& hit : hits) ids.push_back(hit.id);
+    const std::vector<MiniatureCard> cards = server_.GatherCards(ids);
+    EXPECT_LE(cards.size(), hits.size());
     // Whatever survived is still in relevance order.
-    for (size_t i = 1; i < cards->size(); ++i) {
-      EXPECT_GE((*cards)[i - 1].score, (*cards)[i].score);
+    auto next = ids.begin();
+    for (const MiniatureCard& card : cards) {
+      next = std::find(next, ids.end(), card.id);
+      ASSERT_NE(next, ids.end()) << "card " << card.id << " out of order";
+      ++next;
     }
   }
   EXPECT_GT(injector.faults_injected(), 0u);
@@ -816,12 +821,12 @@ TEST(StormShardTest, StormedShardDegradesScatterGathersNotCrashes) {
   a.link.SetFaultInjector(&injector);
 
   for (int round = 0; round < 4; ++round) {
-    auto cards = router.GatherCards({"sharded"});
-    ASSERT_TRUE(cards.ok()) << cards.status().ToString();
-    EXPECT_EQ(cards->size(), 6u);
-    auto ranked = router.GatherCardsRanked({"sharded"}, 4);
-    ASSERT_TRUE(ranked.ok()) << ranked.status().ToString();
-    EXPECT_EQ(ranked->size(), 4u);
+    EXPECT_EQ(router.GatherCards(router.QueryAll({"sharded"})).size(), 6u);
+    std::vector<storage::ObjectId> ranked;
+    for (const query::ScoredHit& hit : router.QueryRanked({"sharded"}, 4)) {
+      ranked.push_back(hit.id);
+    }
+    EXPECT_EQ(router.GatherCards(ranked).size(), 4u);
   }
   EXPECT_EQ(a.link.breaker().state(), CircuitBreaker::State::kOpen);
   EXPECT_EQ(router.live_count(), 1u);

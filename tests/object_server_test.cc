@@ -279,9 +279,15 @@ TEST_F(ObjectServerTest, WorkstationQueryToPresentation) {
 
   render::Screen screen;
   Workstation workstation(&server_, &screen, &clock_);
-  auto browser = workstation.Query({"hospital"});
+  obs::Counter* queries =
+      obs::MetricsRegistry::Default().counter("server.queries");
+  const int64_t queries_before = queries->value();
+  auto browser = workstation.Query({"hospital", "memo"});
   ASSERT_TRUE(browser.ok());
   EXPECT_EQ(browser->size(), 2u);
+  // One evaluation per word: the eager strip gathers the cards of the
+  // ids it already has instead of evaluating the query again.
+  EXPECT_EQ(queries->value(), queries_before + 2);
 
   // Sequential browsing: next / previous / select.
   auto first = browser->Current();

@@ -64,6 +64,45 @@ int64_t Count(const std::string& name) {
       obs::MetricsRegistry::Default().counter(name)->value());
 }
 
+std::vector<ObjectId> IdsOf(const std::vector<ScoredHit>& hits) {
+  std::vector<ObjectId> ids;
+  for (const ScoredHit& hit : hits) ids.push_back(hit.id);
+  return ids;
+}
+
+std::vector<ObjectId> IdsOf(const std::vector<MiniatureCard>& cards) {
+  std::vector<ObjectId> ids;
+  for (const MiniatureCard& card : cards) ids.push_back(card.id);
+  return ids;
+}
+
+/// The corpus every topology test stores: graded relevance for
+/// "fracture", one distractor.
+void StoreCorpus(ObjectStore& store) {
+  ASSERT_TRUE(
+      store.Store(TextObject(1, "fracture fracture fracture ward")).ok());
+  ASSERT_TRUE(store.Store(TextObject(2, "fracture fracture clinic")).ok());
+  ASSERT_TRUE(store.Store(TextObject(3, "fracture mention only")).ok());
+  ASSERT_TRUE(store.Store(TextObject(4, "subway line drawings")).ok());
+  ASSERT_TRUE(
+      store.Store(TextObject(5, "fracture fracture fracture notes")).ok());
+}
+
+/// The GatherCards contract every store keeps, over the StoreCorpus:
+/// cards come back in the order of the ids asked for, ascending or not,
+/// and an id no store can build (99 was never stored) drops out of the
+/// strip instead of failing it.
+void ExpectGatherFollowsIds(ObjectStore& store) {
+  const std::vector<ObjectId> ascending{1, 2, 3, 5};
+  EXPECT_EQ(IdsOf(store.GatherCards(ascending)), ascending);
+  const std::vector<ObjectId> ranked =
+      IdsOf(store.QueryRanked({"fracture"}, 10));
+  EXPECT_EQ(ranked, (std::vector<ObjectId>{1, 5, 2, 3}));
+  EXPECT_EQ(IdsOf(store.GatherCards(ranked)), ranked);
+  EXPECT_EQ(IdsOf(store.GatherCards({5, 99, 1})),
+            (std::vector<ObjectId>{5, 1}));
+}
+
 // --- Single server ------------------------------------------------------
 
 class RankedQueryTest : public ::testing::Test {
@@ -195,16 +234,11 @@ TEST_F(RankedQueryTest, VoicePostingsAreConfidenceWeighted) {
       query::VoiceConfidence(voice::RecognizerParams{1.0, 0.0}), 1.0);
 }
 
-TEST_F(RankedQueryTest, GatherCardsRankedReturnsScoredCardsBestFirst) {
-  ASSERT_TRUE(server_.Store(TextObject(1, "ranked once here")).ok());
-  ASSERT_TRUE(server_.Store(TextObject(2, "ranked ranked ranked")).ok());
-
-  auto cards = server_.GatherCardsRanked({"ranked"}, 10);
-  ASSERT_TRUE(cards.ok());
-  ASSERT_EQ(cards->size(), 2u);
-  EXPECT_EQ((*cards)[0].id, 2u);
-  EXPECT_EQ((*cards)[1].id, 1u);
-  EXPECT_GT((*cards)[0].score, (*cards)[1].score);
+TEST_F(RankedQueryTest, GatherCardsFollowsTheOrderOfIds) {
+  StoreCorpus(server_);
+  const int64_t dropped_before = Count("server.cards_dropped");
+  ExpectGatherFollowsIds(server_);
+  EXPECT_EQ(Count("server.cards_dropped"), dropped_before + 1);
 }
 
 // --- Result cache -------------------------------------------------------
@@ -276,18 +310,6 @@ class RankedShardTest : public ::testing::Test {
     ShardRouterOptions options;
     options.replication = replication;
     router_.emplace(servers, &clock_, HashPlacement(), options);
-  }
-
-  /// The corpus every topology test stores: graded relevance for
-  /// "fracture", one distractor.
-  void StoreCorpus(ObjectStore& store) {
-    ASSERT_TRUE(
-        store.Store(TextObject(1, "fracture fracture fracture ward")).ok());
-    ASSERT_TRUE(store.Store(TextObject(2, "fracture fracture clinic")).ok());
-    ASSERT_TRUE(store.Store(TextObject(3, "fracture mention only")).ok());
-    ASSERT_TRUE(store.Store(TextObject(4, "subway line drawings")).ok());
-    ASSERT_TRUE(
-        store.Store(TextObject(5, "fracture fracture fracture notes")).ok());
   }
 
   void TripBreaker(size_t i, int threshold = 3) {
@@ -370,17 +392,48 @@ TEST_F(RankedShardTest, RankedScatterAdvancesByTheSlowestShardNotTheSum) {
   EXPECT_LT(scattered, 2 * one_shard);
 }
 
-TEST_F(RankedShardTest, GatherCardsRankedIsRelevanceOrderedWithScores) {
-  BuildShards(3, 2);
+TEST_F(RankedShardTest, GatherCardsFollowsTheOrderOfIds) {
+  BuildShards(2, 1);  // Each shard holds two of the four matches.
   StoreCorpus(*router_);
-  const std::vector<ScoredHit> hits = router_->QueryRanked({"fracture"}, 3);
-  auto cards = router_->GatherCardsRanked({"fracture"}, 3);
-  ASSERT_TRUE(cards.ok());
-  ASSERT_EQ(cards->size(), hits.size());
-  for (size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ((*cards)[i].id, hits[i].id) << "rank " << i;
-    EXPECT_DOUBLE_EQ((*cards)[i].score, hits[i].score) << "rank " << i;
+  const int64_t dropped_before = Count("router.dropped_results_total");
+  ExpectGatherFollowsIds(*router_);
+  EXPECT_EQ(Count("router.dropped_results_total"), dropped_before + 1);
+}
+
+TEST_F(RankedShardTest, EagerRankedStripOverlapsTheShards) {
+  BuildShards(2, 1);  // Each shard holds two of the four matches.
+  StoreCorpus(*router_);
+  render::Screen screen;
+  Workstation workstation(&*router_, &screen, &clock_);
+  // The first query scores and warms the block caches; the second is
+  // served from the ranked cache, so it costs only its strip.
+  ASSERT_TRUE(workstation.QueryRanked({"fracture"}, 10).ok());
+  const std::vector<ScoredHit> hits = router_->QueryRanked({"fracture"}, 10);
+  ASSERT_EQ(hits.size(), 4u);
+
+  Micros start = clock_.Now();
+  for (const ScoredHit& hit : hits) {
+    ASSERT_TRUE(router_->FetchMiniature(hit.id).ok());
   }
+  const Micros one_at_a_time = clock_.Now() - start;
+
+  start = clock_.Now();
+  auto strip = workstation.QueryRanked({"fracture"}, 10);
+  const Micros gathered = clock_.Now() - start;
+  ASSERT_TRUE(strip.ok());
+  ASSERT_EQ(strip->size(), hits.size());
+  for (size_t i = 0; i < hits.size(); ++i) {
+    auto card = strip->Current();
+    ASSERT_TRUE(card.ok());
+    EXPECT_EQ((*card)->id, hits[i].id) << "rank " << i;
+    EXPECT_DOUBLE_EQ((*card)->score, hits[i].score) << "rank " << i;
+    if (i + 1 < hits.size()) {
+      ASSERT_TRUE(strip->Next().ok());
+    }
+  }
+  // The two shards build their halves of the strip side by side.
+  EXPECT_GT(gathered, 0);
+  EXPECT_LT(gathered, one_at_a_time);
 }
 
 TEST_F(RankedShardTest, DeadShardDegradesRankedResultsWithoutCrashing) {
@@ -393,15 +446,33 @@ TEST_F(RankedShardTest, DeadShardDegradesRankedResultsWithoutCrashing) {
   const std::vector<ScoredHit> degraded =
       router_->QueryRanked({"fracture"}, 10);
   EXPECT_LT(degraded.size(), healthy);  // Partial, not an error.
-  auto cards = router_->GatherCardsRanked({"fracture"}, 10);
-  ASSERT_TRUE(cards.ok());
-  EXPECT_EQ(cards->size(), degraded.size());
+  EXPECT_EQ(router_->GatherCards(IdsOf(degraded)).size(), degraded.size());
 
   TripBreaker(1);
   EXPECT_TRUE(router_->QueryRanked({"fracture"}, 10).empty());
-  auto none = router_->GatherCardsRanked({"fracture"}, 10);
-  ASSERT_TRUE(none.ok());
-  EXPECT_TRUE(none->empty());
+  // Nothing routes: even ids known to exist drop out of the strip.
+  EXPECT_TRUE(router_->GatherCards(IdsOf(degraded)).empty());
+}
+
+TEST_F(RankedShardTest, RankedStripIsRecomputedOnceTheShardHeals) {
+  BuildShards(2, 1);  // No replicas: shard 0's matches go dark with it.
+  StoreCorpus(*router_);
+  render::Screen screen;
+  Workstation workstation(&*router_, &screen, &clock_);
+
+  TripBreaker(0);
+  auto degraded = workstation.QueryRanked({"fracture"}, 10);
+  ASSERT_TRUE(degraded.ok());
+  EXPECT_EQ(degraded->size(), 2u);
+
+  // The cooldown passes and the router readmits shard 0. The cached
+  // partial hit list must not outlive the routing table it was ranked
+  // under.
+  clock_.Advance(stacks_[0]->link.breaker().options().cooldown_us);
+  ASSERT_EQ(router_->live_count(), 2u);
+  auto healed = workstation.QueryRanked({"fracture"}, 10);
+  ASSERT_TRUE(healed.ok());
+  EXPECT_EQ(healed->size(), 4u);
 }
 
 // --- Workstation cache + ranked browsing --------------------------------

@@ -699,7 +699,7 @@ TEST_F(RepairTest, ConcurrentSessionStormConvergesOnceHealed) {
         router_->Store(TextObject(id, "storm body " + std::to_string(id)))
             .ok());
     (void)router_->Fetch(id);
-    (void)router_->GatherCards({"storm"});
+    (void)router_->GatherCards(router_->QueryAll({"storm"}));
   }
 
   // The weather passes: chaos off, cooldowns expire, breakers readmit.

@@ -148,11 +148,10 @@ TEST_F(ShardRouterTest, ScatterGatherMergesAscendingAndDedupsReplicas) {
   // still report each id once, in ascending order.
   EXPECT_EQ(ids, (std::vector<ObjectId>{3, 8, 14, 17, 21, 25}));
 
-  auto cards = router_->GatherCards({"common"});
-  ASSERT_TRUE(cards.ok());
-  ASSERT_EQ(cards->size(), 6u);
-  for (size_t i = 1; i < cards->size(); ++i) {
-    EXPECT_LT((*cards)[i - 1].id, (*cards)[i].id);
+  const std::vector<MiniatureCard> cards = router_->GatherCards(ids);
+  ASSERT_EQ(cards.size(), 6u);
+  for (size_t i = 1; i < cards.size(); ++i) {
+    EXPECT_LT(cards[i - 1].id, cards[i].id);
   }
 }
 
@@ -164,18 +163,15 @@ TEST_F(ShardRouterTest, GatherAdvancesByTheSlowestShardNotTheSum) {
   }
   // Replication 2 over 2 shards puts every object on both, so one
   // shard's serial gather builds all four cards — the no-overlap cost.
+  const std::vector<ObjectId> ids = router_->QueryAll({"parallel"});
   const Micros start = clock_.Now();
-  auto serial = stacks_[0]->server.GatherCards({"parallel"});
-  ASSERT_TRUE(serial.ok());
-  ASSERT_EQ(serial->size(), 4u);
+  ASSERT_EQ(stacks_[0]->server.GatherCards(ids).size(), 4u);
   const Micros serial_cost = clock_.Now() - start;
   clock_.RewindTo(start);
   // The scattered gather splits the ids by primary (two cards per
   // shard) and overlaps the shards: the clock advances by the slowest
   // shard — about half the serial cost, strictly less than all of it.
-  auto cards = router_->GatherCards({"parallel"});
-  ASSERT_TRUE(cards.ok());
-  ASSERT_EQ(cards->size(), 4u);
+  ASSERT_EQ(router_->GatherCards(ids).size(), 4u);
   const Micros gathered_cost = clock_.Now() - start;
   EXPECT_GT(gathered_cost, 0);
   EXPECT_LT(gathered_cost, serial_cost);
@@ -272,9 +268,7 @@ TEST_F(ShardRouterTest, WholeChainLossDegradesInsteadOfCrashing) {
 
   // Queries served by zero shards return empty, not an error.
   EXPECT_TRUE(router_->QueryAll({"unreachable"}).empty());
-  auto cards = router_->GatherCards({"unreachable"});
-  ASSERT_TRUE(cards.ok());
-  EXPECT_TRUE(cards->empty());
+  EXPECT_TRUE(router_->GatherCards({5}).empty());
 }
 
 // --- Worker counts -----------------------------------------------------
@@ -332,11 +326,10 @@ ScatterRun RunScatter(int workers) {
     for (const query::ScoredHit& hit : hits) {
       run.ranked.emplace_back(hit.id, hit.score);
     }
-    for (ObjectId id : router.QueryAll(words)) run.all.push_back(id);
-    auto cards = router.GatherCards(words, 96, root.context());
-    EXPECT_TRUE(cards.ok());
-    if (cards.ok()) {
-      for (const MiniatureCard& card : *cards) run.cards.push_back(card.id);
+    const std::vector<ObjectId> all = router.QueryAll(words);
+    run.all.insert(run.all.end(), all.begin(), all.end());
+    for (const MiniatureCard& card : router.GatherCards(all, root.context())) {
+      run.cards.push_back(card.id);
     }
   }
   root.End();

@@ -123,12 +123,16 @@ TEST_F(TraceFabricTest, RankedQueryUnderStormIsOneConnectedTree) {
   router_->SetTracer(&tracer);
 
   obs::TraceSpan root = tracer.StartSpan("browse");
-  auto cards = router_->GatherCardsRanked({"report"}, 8, 48,
-                                          root.context());
+  std::vector<ObjectId> ids;
+  for (const query::ScoredHit& hit :
+       router_->QueryRanked({"report"}, 8, query::QueryMode::kConjunctive,
+                            root.context())) {
+    ids.push_back(hit.id);
+  }
+  (void)router_->GatherCards(ids, root.context());
   root.End();
   router_->SetTracer(nullptr);
 
-  ASSERT_TRUE(cards.ok()) << cards.status().ToString();
   ExpectOneConnectedTree(tracer, root.context().trace_id);
 
   // The storm forced retries somewhere in the fabric, and every backoff
@@ -205,10 +209,9 @@ TEST_F(TraceFabricTest, ScatterShardSpansRecordTrueOverlap) {
   obs::Tracer tracer(&clock_);
   router_->SetTracer(&tracer);
   obs::TraceSpan root = tracer.StartSpan("query");
-  auto cards = router_->GatherCards({"report"}, 48, root.context());
+  (void)router_->GatherCards(router_->QueryAll({"report"}), root.context());
   root.End();
   router_->SetTracer(nullptr);
-  ASSERT_TRUE(cards.ok());
 
   // Each shard's share runs against a rewound clock, so the per-shard
   // spans all start at the scatter point: the trace records the modeled
@@ -233,7 +236,7 @@ TEST_F(TraceFabricTest, UntracedCallsRecordNoSpans) {
   router_->SetTracer(&tracer);
   // No propagated context: the fabric must record nothing — untraced
   // paths can never produce orphan roots.
-  ASSERT_TRUE(router_->GatherCards({"report"}).ok());
+  ASSERT_EQ(router_->GatherCards(router_->QueryAll({"report"})).size(), 1u);
   ASSERT_TRUE(router_->Fetch(1).ok());
   router_->SetTracer(nullptr);
   EXPECT_TRUE(tracer.OrderedSpans().empty());
