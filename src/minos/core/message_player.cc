@@ -13,9 +13,9 @@ Micros MessagePlayer::Play(const std::string& transcript, EventLog* log,
 }
 
 Micros MessagePlayer::DurationOf(const std::string& transcript) const {
-  const voice::VoiceTrack track =
-      synthesizer_.SynthesizeWords(SplitWords(transcript));
-  return track.pcm.Duration();
+  const size_t samples = synthesizer_.SampleCount(SplitWords(transcript));
+  const voice::PcmBuffer format(synthesizer_.params().sample_rate);
+  return format.SamplesToMicros(samples);
 }
 
 }  // namespace minos::core

@@ -10,9 +10,10 @@
 namespace minos::core {
 
 /// Plays short voice logical messages and labels. Messages are stored as
-/// transcripts; playing one synthesizes it with the message speaker and
-/// advances simulated time by the audio duration — exactly the cost a
-/// real playback would impose on the presentation timeline.
+/// transcripts; playing one advances simulated time by the duration the
+/// message speaker's synthesis of it lasts — exactly the cost a real
+/// playback would impose on the presentation timeline. The duration is
+/// counted from the synthesizer's length draws; no PCM is produced.
 class MessagePlayer {
  public:
   /// `clock` must outlive the player.

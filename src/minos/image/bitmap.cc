@@ -53,37 +53,52 @@ void Bitmap::FillRect(const Rect& r, uint8_t ink) {
   }
 }
 
-void Bitmap::Blit(const Bitmap& src, int x, int y) {
-  for (int sy = 0; sy < src.height_; ++sy) {
-    for (int sx = 0; sx < src.width_; ++sx) {
-      Set(x + sx, y + sy, src.At(sx, sy));
-    }
+template <typename RowOp>
+void Bitmap::ForEachOverlapRow(const Bitmap& src, int x, int y, RowOp op) {
+  const Rect placed{x, y, src.width_, src.height_};
+  const Rect c = placed.Intersect(Rect{0, 0, width_, height_});
+  // Clipped once, so each row is one contiguous run; indexed through
+  // hoisted locals as in FillRect.
+  uint8_t* const pixels = pixels_.data();
+  const uint8_t* const src_pixels = src.pixels_.data();
+  const size_t stride = static_cast<size_t>(width_);
+  const size_t src_stride = static_cast<size_t>(src.width_);
+  const size_t n = static_cast<size_t>(c.w);
+  for (int row = c.y; row < c.y + c.h; ++row) {
+    const uint8_t* from = src_pixels + (row - y) * src_stride + (c.x - x);
+    op(pixels + row * stride + c.x, from, n);
   }
+}
+
+void Bitmap::Blit(const Bitmap& src, int x, int y) {
+  ForEachOverlapRow(src, x, y, [](uint8_t* d, const uint8_t* s, size_t n) {
+    std::copy_n(s, n, d);
+  });
 }
 
 void Bitmap::BlendOver(const Bitmap& src, int x, int y) {
-  for (int sy = 0; sy < src.height_; ++sy) {
-    for (int sx = 0; sx < src.width_; ++sx) {
-      Blend(x + sx, y + sy, src.At(sx, sy));
-    }
-  }
+  ForEachOverlapRow(src, x, y, [](uint8_t* d, const uint8_t* s, size_t n) {
+    for (size_t i = 0; i < n; ++i) d[i] = std::max(d[i], s[i]);
+  });
 }
 
 void Bitmap::OverwriteBy(const Bitmap& src, int x, int y) {
-  for (int sy = 0; sy < src.height_; ++sy) {
-    for (int sx = 0; sx < src.width_; ++sx) {
-      const uint8_t ink = src.At(sx, sy);
-      if (ink > 0) Set(x + sx, y + sy, ink);
+  ForEachOverlapRow(src, x, y, [](uint8_t* d, const uint8_t* s, size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      if (s[i] > 0) d[i] = s[i];
     }
-  }
+  });
 }
 
 Bitmap Bitmap::SubBitmap(const Rect& r) const {
   Bitmap out(r.w, r.h);
-  for (int y = 0; y < r.h; ++y) {
-    for (int x = 0; x < r.w; ++x) {
-      out.Set(x, y, At(r.x + x, r.y + y));
-    }
+  const Rect c = r.Intersect(Rect{0, 0, width_, height_});
+  const size_t stride = static_cast<size_t>(width_);
+  const size_t out_stride = static_cast<size_t>(out.width_);
+  for (int y = c.y; y < c.y + c.h; ++y) {
+    const uint8_t* from = pixels_.data() + y * stride + c.x;
+    uint8_t* to = out.pixels_.data() + (y - r.y) * out_stride + (c.x - r.x);
+    std::copy_n(from, c.w, to);
   }
   return out;
 }

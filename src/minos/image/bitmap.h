@@ -95,6 +95,12 @@ class Bitmap {
   }
 
  private:
+  /// Calls op(row, src_row, n) for each row where `src`, placed with its
+  /// top-left at (x, y), overlaps this bitmap: `row` and `src_row` point
+  /// at the first of the n overlapping pixels in each.
+  template <typename RowOp>
+  void ForEachOverlapRow(const Bitmap& src, int x, int y, RowOp op);
+
   int width_;
   int height_;
   std::vector<uint8_t> pixels_;

@@ -23,7 +23,7 @@ StatusOr<ArchiveAddress> Archiver::Append(std::string_view bytes) {
         std::string_view(tail_).substr(written, bs);
     status = device_->Write(flushed_blocks_, block);
     if (!status.ok()) break;
-    if (cache_ != nullptr) cache_->Insert(flushed_blocks_, std::string(block));
+    if (cache_ != nullptr) cache_->Insert(flushed_blocks_, block);
     written += bs;
     ++flushed_blocks_;
   }
@@ -47,15 +47,8 @@ Status Archiver::Flush() {
   return Status::OK();
 }
 
-Status Archiver::ReadBlock(uint64_t block, std::string* out) const {
-  return ReadBlockFromDevice(block, out, /*use_cache=*/true);
-}
-
 Status Archiver::ReadBlockFromDevice(uint64_t block, std::string* out,
                                      bool use_cache) const {
-  if (use_cache && cache_ != nullptr && cache_->Lookup(block, out)) {
-    return Status::OK();
-  }
   if (block >= flushed_blocks_) {
     // Block only exists in the volatile tail.
     const uint32_t bs = device_->block_size();
@@ -99,11 +92,15 @@ Status Archiver::ReadRangeImpl(uint64_t offset, uint64_t length,
   const uint32_t bs = device_->block_size();
   const uint64_t first = offset / bs;
   const uint64_t last = (offset + length - 1) / bs;
+  // A hit appends its slice straight from the cache frame; a miss reads
+  // the block once into `block`, reused across misses.
+  const bool cached = use_cache && cache_ != nullptr;
   std::string block;
   for (uint64_t b = first; b <= last; ++b) {
+    const uint64_t lo = (b == first) ? offset - first * bs : 0;
+    const uint64_t hi = (b == last) ? offset + length - last * bs : bs;
+    if (cached && cache_->AppendSlice(b, lo, hi - lo, out)) continue;
     MINOS_RETURN_IF_ERROR(ReadBlockFromDevice(b, &block, use_cache));
-    uint64_t lo = (b == first) ? offset - first * bs : 0;
-    uint64_t hi = (b == last) ? offset + length - last * bs : bs;
     out->append(block, lo, hi - lo);
   }
   return Status::OK();

@@ -67,7 +67,8 @@ class Archiver {
   const BlockDevice& device() const { return *device_; }
 
  private:
-  Status ReadBlock(uint64_t block, std::string* out) const;
+  /// Reads one block that missed the cache: from the volatile tail, or
+  /// from the device, inserting it into the cache when `use_cache`.
   Status ReadBlockFromDevice(uint64_t block, std::string* out,
                              bool use_cache) const;
   Status ReadRangeImpl(uint64_t offset, uint64_t length, std::string* out,

@@ -2,9 +2,9 @@
 #define MINOS_STORAGE_BLOCK_CACHE_H_
 
 #include <cstdint>
-#include <list>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -26,6 +26,12 @@ namespace minos::storage {
 /// of the block number, so hit/miss/eviction totals are deterministic
 /// for a given stripe count regardless of thread interleaving.
 ///
+/// Each stripe keeps its blocks in reusable frames, in the style of a
+/// database buffer pool: a frame is created the first time the stripe
+/// holds that many blocks and is then recycled, payload buffer and map
+/// node included, so a full cache inserts and evicts without allocating.
+/// Frames link into the stripe's LRU list by index.
+///
 /// Hit/miss/eviction counters live in a MetricsRegistry under a unique
 /// instance scope ("block_cache0.hits", ...); the accessors below are
 /// thin views over those registry counters.
@@ -46,9 +52,15 @@ class BlockCache {
   /// recency and returns true.
   bool Lookup(uint64_t block, std::string* out);
 
+  /// Lookup that appends only the payload bytes [pos, pos + n) (clamped
+  /// to the payload's end; `pos` must not pass it) to `out`, straight
+  /// from the frame. Counts the hit or miss and refreshes recency as
+  /// Lookup does.
+  bool AppendSlice(uint64_t block, size_t pos, size_t n, std::string* out);
+
   /// Inserts (or refreshes) a block, evicting the least recently used
   /// entries as needed.
-  void Insert(uint64_t block, std::string payload);
+  void Insert(uint64_t block, std::string_view payload);
 
   /// Removes a block if present (used on rewrite of magnetic blocks).
   void Erase(uint64_t block);
@@ -74,22 +86,41 @@ class BlockCache {
   double HitRate() const;
 
  private:
-  struct Entry {
-    uint64_t block;
+  static constexpr size_t kNone = static_cast<size_t>(-1);
+
+  /// One cached block; `prev`/`next` index its stripe's frames.
+  struct Frame {
+    uint64_t block = 0;
     std::string payload;
+    size_t prev = kNone;  // Toward the most recently used end.
+    size_t next = kNone;  // Toward the least recently used end.
   };
 
   /// One independently locked LRU shard.
   struct Shard {
     mutable std::mutex mu;
     size_t capacity = 0;
-    std::list<Entry> lru;  // Front = most recently used.
-    std::unordered_map<uint64_t, std::list<Entry>::iterator> map;
+    /// At most `capacity` frames; Clear alone releases them.
+    std::vector<Frame> frames;
+    /// Frames an Erase released, reused before new ones are made.
+    std::vector<size_t> spare;
+    /// Block -> index of the frame holding it.
+    std::unordered_map<uint64_t, size_t> map;
+    size_t head = kNone;  // Most recently used frame.
+    size_t tail = kNone;  // Least recently used frame.
+
+    void Unlink(size_t f);
+    void PushFront(size_t f);
+    void MoveToFront(size_t f);
   };
 
   Shard& ShardFor(uint64_t block) {
     return shards_[block % shards_.size()];
   }
+
+  /// Counts a hit or miss for `block` in `s` (whose lock the caller
+  /// holds); on a hit moves its frame to the front and returns it.
+  const Frame* Touch(Shard& s, uint64_t block);
 
   size_t capacity_;
   std::vector<Shard> shards_;

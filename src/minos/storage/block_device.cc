@@ -58,7 +58,7 @@ BlockDevice::BlockDevice(std::string name, uint64_t num_blocks,
       cost_(cost),
       write_once_(write_once),
       clock_(clock),
-      blocks_(num_blocks),
+      chunks_((num_blocks + kChunkBlocks - 1) / kChunkBlocks),
       written_(num_blocks, false) {}
 
 Micros BlockDevice::ChargeAccess(uint64_t block, uint64_t count) {
@@ -73,7 +73,7 @@ Micros BlockDevice::ChargeAccess(uint64_t block, uint64_t count) {
 }
 
 Status BlockDevice::Read(uint64_t block, uint64_t count, std::string* out) {
-  if (block + count > num_blocks_) {
+  if (count > num_blocks_ || block > num_blocks_ - count) {
     return Status::OutOfRange("read past end of device " + name_);
   }
   ChargeAccess(block, count);
@@ -81,13 +81,18 @@ Status BlockDevice::Read(uint64_t block, uint64_t count, std::string* out) {
   stats_.blocks_read += count;
   out->clear();
   out->reserve(count * block_size_);
-  for (uint64_t i = 0; i < count; ++i) {
-    const std::string& b = blocks_[block + i];
-    if (b.size() == block_size_) {
-      out->append(b);
+  // One append per chunk the range crosses.
+  for (uint64_t b = block, end = block + count; b < end;) {
+    const uint64_t chunk = b / kChunkBlocks;
+    const uint64_t n = std::min(end, (chunk + 1) * kChunkBlocks) - b;
+    const size_t bytes = n * block_size_;
+    if (chunks_[chunk] != nullptr) {
+      out->append(chunks_[chunk].get() + (b % kChunkBlocks) * block_size_,
+                  bytes);
     } else {
-      out->append(block_size_, '\0');  // Unwritten blocks read as zeros.
+      out->append(bytes, '\0');  // Never written: reads as zeros.
     }
+    b += n;
   }
   if (read_fault_) return read_fault_(block, count, out);
   return Status::OK();
@@ -98,7 +103,7 @@ Status BlockDevice::Write(uint64_t block, std::string_view data) {
     return Status::InvalidArgument("write is not a whole number of blocks");
   }
   const uint64_t count = data.size() / block_size_;
-  if (block + count > num_blocks_) {
+  if (count > num_blocks_ || block > num_blocks_ - count) {
     return Status::OutOfRange("write past end of device " + name_);
   }
   if (write_once_) {
@@ -122,8 +127,12 @@ Status BlockDevice::Write(uint64_t block, std::string_view data) {
   ChargeAccess(block, count);
   ++stats_.writes;
   stats_.blocks_written += count;
+  const size_t chunk_bytes = kChunkBlocks * block_size_;
   for (uint64_t i = 0; i < count; ++i) {
-    blocks_[block + i].assign(data.data() + i * block_size_, block_size_);
+    std::unique_ptr<char[]>& chunk = chunks_[(block + i) / kChunkBlocks];
+    if (chunk == nullptr) chunk = std::make_unique<char[]>(chunk_bytes);
+    std::memcpy(chunk.get() + ((block + i) % kChunkBlocks) * block_size_,
+                data.data() + i * block_size_, block_size_);
     if (!written_[block + i]) {
       written_[block + i] = true;
       ++blocks_used_;

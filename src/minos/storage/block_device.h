@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -145,10 +146,17 @@ class BlockDevice {
   bool write_once_;
   SimClock* clock_;
 
-  std::vector<std::string> blocks_;   // Lazily sized; empty = never written.
+  /// Blocks per storage chunk. A chunk is allocated, zero-filled, the
+  /// first time a block in it is written; blocks of a missing chunk read
+  /// as zeros.
+  static constexpr uint64_t kChunkBlocks = 64;
+
+  /// Flat storage for the blocks [c * kChunkBlocks, (c+1) * kChunkBlocks)
+  /// at index c; null until written.
+  std::vector<std::unique_ptr<char[]>> chunks_;
   std::vector<bool> written_;
-  ReadFaultHook read_fault_;          // Null when fault-free.
-  WriteFaultHook write_fault_;        // Null when fault-free.
+  ReadFaultHook read_fault_;    // Null when fault-free.
+  WriteFaultHook write_fault_;  // Null when fault-free.
   uint64_t blocks_used_ = 0;
   uint64_t head_ = 0;
   DeviceStats stats_;

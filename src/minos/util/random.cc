@@ -3,7 +3,7 @@
 namespace minos {
 
 uint64_t Random::Next64() {
-  state_ += 0x9E3779B97F4A7C15ULL;
+  state_ += kIncrement;
   uint64_t z = state_;
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;

@@ -11,10 +11,13 @@ namespace minos {
 class Random {
  public:
   /// Seeds the generator; equal seeds yield equal streams.
-  explicit Random(uint64_t seed) : state_(seed + 0x9E3779B97F4A7C15ULL) {}
+  explicit Random(uint64_t seed) : state_(seed + kIncrement) {}
 
   /// Next raw 64-bit value.
   uint64_t Next64();
+
+  /// Steps past the next `n` draws, as `n` calls of Next64 would.
+  void Skip(uint64_t n) { state_ += n * kIncrement; }
 
   /// Uniform integer in [0, bound). `bound` must be > 0.
   uint64_t Uniform(uint64_t bound);
@@ -33,6 +36,9 @@ class Random {
   double Gaussian(double mean, double stddev);
 
  private:
+  /// SplitMix64's state step: each draw adds it once.
+  static constexpr uint64_t kIncrement = 0x9E3779B97F4A7C15ULL;
+
   uint64_t state_;
 };
 

@@ -64,7 +64,9 @@ class PcmBuffer {
   }
 
   /// Root-mean-square energy of `span` (0 for an empty span), normalized
-  /// to [0, 1] against full scale.
+  /// to [0, 1] against full scale. The sum of squares is exact at any
+  /// length; the result equals a double-precision sum of the normalized
+  /// squares for spans of up to 2^23 samples, where that sum is exact too.
   double RmsEnergy(SampleSpan span) const;
 
  private:

@@ -11,13 +11,24 @@ namespace {
 constexpr double kPi = 3.14159265358979323846;
 }  // namespace
 
-void SpeechSynthesizer::EmitWord(const std::string& word,
-                                 size_t text_offset, Random* rng,
-                                 VoiceTrack* track) const {
+size_t SpeechSynthesizer::WordSamples(const std::string& word,
+                                      Random* rng) const {
   double ms = std::max(params_.word_min_ms,
                        params_.ms_per_char * static_cast<double>(word.size()));
   ms = std::max(20.0, rng->Gaussian(ms, ms * params_.jitter));
-  const size_t n = static_cast<size_t>(ms * params_.sample_rate / 1000.0);
+  return static_cast<size_t>(ms * params_.sample_rate / 1000.0);
+}
+
+size_t SpeechSynthesizer::SilenceSamples(double mean_ms, Random* rng) const {
+  double ms = rng->Gaussian(mean_ms, mean_ms * params_.jitter);
+  ms = std::max(10.0, ms);
+  return static_cast<size_t>(ms * params_.sample_rate / 1000.0);
+}
+
+void SpeechSynthesizer::EmitWord(const std::string& word,
+                                 size_t text_offset, Random* rng,
+                                 VoiceTrack* track) const {
+  const size_t n = WordSamples(word, rng);
   const size_t begin = track->pcm.size();
   // A voiced burst: tone whose pitch depends on the word hash, with an
   // attack/decay envelope and the speaker's noise floor on top.
@@ -29,6 +40,8 @@ void SpeechSynthesizer::EmitWord(const std::string& word,
     const double envelope = std::sin(kPi * pos);  // Attack then decay.
     double s = params_.voice_amplitude * envelope *
                std::sin(2.0 * kPi * freq * t);
+    // One noise draw per sample, in words and silences alike: SampleCount
+    // skips exactly that many.
     s += params_.noise_floor * (rng->NextDouble() * 2.0 - 1.0);
     const double clamped = std::clamp(s, -1.0, 1.0);
     track->pcm.Push(static_cast<int16_t>(clamped * 32000.0));
@@ -42,9 +55,7 @@ void SpeechSynthesizer::EmitWord(const std::string& word,
 
 void SpeechSynthesizer::EmitSilence(double mean_ms, int level, Random* rng,
                                     VoiceTrack* track) const {
-  double ms = rng->Gaussian(mean_ms, mean_ms * params_.jitter);
-  ms = std::max(10.0, ms);
-  const size_t n = static_cast<size_t>(ms * params_.sample_rate / 1000.0);
+  const size_t n = SilenceSamples(mean_ms, rng);
   const size_t begin = track->pcm.size();
   for (size_t i = 0; i < n; ++i) {
     const double s = params_.noise_floor * (rng->NextDouble() * 2.0 - 1.0);
@@ -114,6 +125,23 @@ VoiceTrack SpeechSynthesizer::SynthesizeWords(
     }
   }
   return track;
+}
+
+size_t SpeechSynthesizer::SampleCount(
+    const std::vector<std::string>& words) const {
+  Random rng(params_.seed);
+  size_t total = 0;
+  for (size_t i = 0; i < words.size(); ++i) {
+    const size_t word = WordSamples(words[i], &rng);
+    rng.Skip(word);
+    total += word;
+    if (i + 1 < words.size()) {
+      const size_t silence = SilenceSamples(params_.word_pause_ms, &rng);
+      rng.Skip(silence);
+      total += silence;
+    }
+  }
+  return total;
 }
 
 }  // namespace minos::voice

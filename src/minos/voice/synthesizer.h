@@ -73,9 +73,19 @@ class SpeechSynthesizer {
   /// messages that have no document behind them).
   VoiceTrack SynthesizeWords(const std::vector<std::string>& words) const;
 
+  /// Number of samples SynthesizeWords(words) emits, counted without
+  /// synthesizing them: the same length draws, each sample's noise draw
+  /// skipped.
+  size_t SampleCount(const std::vector<std::string>& words) const;
+
   const SpeakerParams& params() const { return params_; }
 
  private:
+  /// Samples of one voiced `word`; draws its jittered length from `rng`.
+  size_t WordSamples(const std::string& word, Random* rng) const;
+  /// Samples of one silence of mean `mean_ms`; draws its jittered length
+  /// from `rng`.
+  size_t SilenceSamples(double mean_ms, Random* rng) const;
   void EmitWord(const std::string& word, size_t text_offset, Random* rng,
                 VoiceTrack* track) const;
   void EmitSilence(double mean_ms, int level, Random* rng,

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "minos/util/random.h"
+
 namespace minos::image {
 namespace {
 
@@ -154,6 +156,93 @@ TEST(BitmapTest, EmptyBitmap) {
   auto restored = Bitmap::Deserialize(bm.Serialize());
   ASSERT_TRUE(restored.ok());
   EXPECT_TRUE(restored->empty());
+}
+
+/// A bitmap of 0-12 by 0-12 pixels with random ink, about a third of it
+/// blank.
+Bitmap RandomBitmap(Random* rng) {
+  const int w = static_cast<int>(rng->Uniform(13));
+  const int h = static_cast<int>(rng->Uniform(13));
+  Bitmap bm(w, h);
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      if (!rng->Bernoulli(0.33)) {
+        bm.Set(x, y, static_cast<uint8_t>(1 + rng->Uniform(255)));
+      }
+    }
+  }
+  return bm;
+}
+
+// Per-pixel references, one bounds-checked Set/Blend/At per pixel.
+void BlitReference(Bitmap* dst, const Bitmap& src, int x, int y) {
+  for (int sy = 0; sy < src.height(); ++sy) {
+    for (int sx = 0; sx < src.width(); ++sx) {
+      dst->Set(x + sx, y + sy, src.At(sx, sy));
+    }
+  }
+}
+
+void BlendOverReference(Bitmap* dst, const Bitmap& src, int x, int y) {
+  for (int sy = 0; sy < src.height(); ++sy) {
+    for (int sx = 0; sx < src.width(); ++sx) {
+      dst->Blend(x + sx, y + sy, src.At(sx, sy));
+    }
+  }
+}
+
+void OverwriteByReference(Bitmap* dst, const Bitmap& src, int x, int y) {
+  for (int sy = 0; sy < src.height(); ++sy) {
+    for (int sx = 0; sx < src.width(); ++sx) {
+      if (src.At(sx, sy) > 0) dst->Set(x + sx, y + sy, src.At(sx, sy));
+    }
+  }
+}
+
+Bitmap SubBitmapReference(const Bitmap& bm, const Rect& r) {
+  Bitmap out(r.w, r.h);
+  for (int y = 0; y < r.h; ++y) {
+    for (int x = 0; x < r.w; ++x) out.Set(x, y, bm.At(r.x + x, r.y + y));
+  }
+  return out;
+}
+
+// Sources placed partly or wholly outside the target, at negative
+// offsets, and empty sources and targets: the row-walking operations
+// must match the per-pixel references exactly.
+TEST(BitmapTest, CompositingMatchesPerPixelReferences) {
+  Random rng(1986);
+  for (int c = 0; c < 2000; ++c) {
+    const Bitmap target = RandomBitmap(&rng);
+    const Bitmap src = RandomBitmap(&rng);
+    const int x = static_cast<int>(rng.UniformRange(-16, 16));
+    const int y = static_cast<int>(rng.UniformRange(-16, 16));
+    SCOPED_TRACE(testing::Message() << "case " << c << ": " << x << ',' << y);
+
+    Bitmap got = target;
+    Bitmap want = target;
+    got.Blit(src, x, y);
+    BlitReference(&want, src, x, y);
+    ASSERT_TRUE(got == want) << "Blit";
+
+    got = target;
+    want = target;
+    got.BlendOver(src, x, y);
+    BlendOverReference(&want, src, x, y);
+    ASSERT_TRUE(got == want) << "BlendOver";
+
+    got = target;
+    want = target;
+    got.OverwriteBy(src, x, y);
+    OverwriteByReference(&want, src, x, y);
+    ASSERT_TRUE(got == want) << "OverwriteBy";
+
+    const int w = static_cast<int>(rng.UniformRange(-2, 14));
+    const int h = static_cast<int>(rng.UniformRange(-2, 14));
+    const Rect r{x, y, w, h};
+    ASSERT_TRUE(target.SubBitmap(r) == SubBitmapReference(target, r))
+        << "SubBitmap " << w << "x" << h;
+  }
 }
 
 }  // namespace

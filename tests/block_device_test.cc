@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "minos/util/random.h"
+
 namespace minos::storage {
 namespace {
 
@@ -169,6 +175,60 @@ TEST(BlockDeviceTest, SeeksCountedOnlyOnMove) {
   ASSERT_TRUE(dev.Read(12, 1, &out).ok());   // Sequential: no seek.
   ASSERT_TRUE(dev.Read(0, 1, &out).ok());    // Seek back.
   EXPECT_EQ(dev.stats().seeks, 2u);
+}
+
+// `block + count` wraps past 2^64 in each of these; a range check that
+// adds them lets the access through and indexes outside the device.
+TEST(BlockDeviceTest, ReadRangeCheckDoesNotWrap) {
+  SimClock clock;
+  BlockDevice dev = MakeDevice(&clock);
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  std::string out;
+  EXPECT_TRUE(dev.Read(kMax, 2, &out).IsOutOfRange());
+  EXPECT_TRUE(dev.Read(kMax - 62, 64, &out).IsOutOfRange());
+  EXPECT_TRUE(dev.Read(1, kMax, &out).IsOutOfRange());
+  EXPECT_EQ(dev.stats().reads, 0u);
+  EXPECT_EQ(clock.Now(), 0);
+}
+
+TEST(BlockDeviceTest, WriteRangeCheckDoesNotWrap) {
+  SimClock clock;
+  BlockDevice dev = MakeDevice(&clock);
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  EXPECT_TRUE(dev.Write(kMax, std::string(16, 'a')).IsOutOfRange());
+  EXPECT_TRUE(dev.Write(kMax - 1, std::string(48, 'b')).IsOutOfRange());
+  EXPECT_EQ(dev.stats().writes, 0u);
+  EXPECT_EQ(dev.blocks_used(), 0u);
+}
+
+// Random writes and reads across many storage chunks, checked against a
+// plain per-block model in which unwritten blocks are zeros.
+TEST(BlockDeviceTest, RandomAccessMatchesPerBlockModel) {
+  SimClock clock;
+  constexpr uint64_t kBlocks = 1000;
+  constexpr uint32_t kBlockSize = 8;
+  BlockDevice dev("d", kBlocks, kBlockSize, DeviceCostModel::Instant(),
+                  /*write_once=*/false, &clock);
+  std::vector<std::string> model(kBlocks, std::string(kBlockSize, '\0'));
+  Random rng(23);
+  std::string out;
+  for (int step = 0; step < 2000; ++step) {
+    const uint64_t count = 1 + rng.Uniform(150);
+    const uint64_t block = rng.Uniform(kBlocks - count + 1);
+    if (rng.Bernoulli(0.4)) {
+      std::string data(count * kBlockSize, '\0');
+      for (char& ch : data) ch = static_cast<char>(rng.Uniform(256));
+      ASSERT_TRUE(dev.Write(block, data).ok());
+      for (uint64_t i = 0; i < count; ++i) {
+        model[block + i] = data.substr(i * kBlockSize, kBlockSize);
+      }
+    } else {
+      ASSERT_TRUE(dev.Read(block, count, &out).ok());
+      std::string expected;
+      for (uint64_t i = 0; i < count; ++i) expected += model[block + i];
+      ASSERT_EQ(out, expected) << "step " << step;
+    }
+  }
 }
 
 }  // namespace

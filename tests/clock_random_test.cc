@@ -134,5 +134,23 @@ TEST(RandomTest, GaussianMoments) {
   EXPECT_NEAR(var, 4.0, 0.3);
 }
 
+TEST(RandomTest, SkipEqualsRepeatedNext64) {
+  Random picker(29);
+  const uint64_t counts[] = {0, 1, 2, 17, 4096, picker.Uniform(100000)};
+  const uint64_t seeds[] = {0, 1, picker.Next64()};
+  for (uint64_t n : counts) {
+    for (uint64_t seed : seeds) {
+      Random skipped(seed);
+      Random drawn(seed);
+      skipped.Skip(n);
+      for (uint64_t i = 0; i < n; ++i) drawn.Next64();
+      for (int i = 0; i < 4; ++i) {
+        ASSERT_EQ(skipped.Next64(), drawn.Next64())
+            << "n " << n << " seed " << seed;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace minos

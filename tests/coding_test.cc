@@ -5,6 +5,7 @@
 #include <limits>
 #include <vector>
 
+#include "minos/util/crc32_internal.h"
 #include "minos/util/random.h"
 
 namespace minos {
@@ -153,8 +154,8 @@ TEST(CodingTest, RandomizedVarintRoundTrip) {
   EXPECT_TRUE(dec.empty());
 }
 
-/// Bit-at-a-time CRC-32 (reflected IEEE polynomial): the reference the
-/// table-driven Crc32 must agree with.
+/// Bit-at-a-time CRC-32 (reflected IEEE polynomial): the reference both
+/// Crc32 paths must agree with.
 uint32_t BitwiseCrc32(std::string_view bytes) {
   uint32_t crc = 0xFFFFFFFFu;
   for (const char ch : bytes) {
@@ -171,18 +172,40 @@ TEST(CodingTest, Crc32KnownAnswer) {
   EXPECT_EQ(Crc32(""), 0u);
 }
 
-// Every length around the 8-byte blocks, at every alignment of the start.
-TEST(CodingTest, Crc32MatchesBitwiseReferenceAtEveryLengthAndOffset) {
-  Random rng(99);
-  std::string buf(300 + 8, '\0');
+/// Checks one CRC-32 function against BitwiseCrc32 at every length
+/// 0-1100 from every start offset 0-15, then on a 1 MiB random buffer.
+void ExpectMatchesBitwiseReference(uint32_t (*crc32)(std::string_view)) {
+  Random rng(2009);
+  constexpr size_t kMaxLength = 1100;
+  std::string buf(kMaxLength + 16, '\0');
   for (char& ch : buf) ch = static_cast<char>(rng.Uniform(256));
-  for (size_t offset = 0; offset <= 8; ++offset) {
-    for (size_t length = 0; length <= 300; ++length) {
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t length = 0; length <= kMaxLength; ++length) {
       const std::string_view bytes(buf.data() + offset, length);
-      ASSERT_EQ(Crc32(bytes), BitwiseCrc32(bytes))
+      ASSERT_EQ(crc32(bytes), BitwiseCrc32(bytes))
           << "offset " << offset << " length " << length;
     }
   }
+  std::string big(1 << 20, '\0');
+  for (char& ch : big) ch = static_cast<char>(rng.Uniform(256));
+  EXPECT_EQ(crc32(big), BitwiseCrc32(big));
+}
+
+// Every length around the 8-byte slices, the 16-byte folds and the
+// 64-byte lanes, at every alignment of the start.
+TEST(CodingTest, Crc32MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  ExpectMatchesBitwiseReference(&Crc32);
+}
+
+TEST(CodingTest, Crc32PortablePathMatchesBitwiseReference) {
+  ExpectMatchesBitwiseReference(&crc32_internal::Portable);
+}
+
+TEST(CodingTest, Crc32FoldedPathMatchesBitwiseReference) {
+  if (!crc32_internal::CanFold()) {
+    GTEST_SKIP() << "no carry-less multiply on this CPU";
+  }
+  ExpectMatchesBitwiseReference(&crc32_internal::Folded);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include "minos/core/events.h"
 #include "minos/core/message_player.h"
+#include "minos/util/random.h"
+#include "minos/util/string_util.h"
 
 namespace minos::core {
 namespace {
@@ -95,6 +97,38 @@ TEST(MessagePlayerTest, EmptyTranscriptIsInstant) {
   SimClock clock;
   MessagePlayer player(&clock, voice::SpeakerParams{});
   EXPECT_EQ(player.DurationOf(""), 0);
+}
+
+// DurationOf counts samples from the synthesizer's length draws instead
+// of synthesizing; on random transcripts, speakers and sample rates it
+// must equal the duration of the PCM SynthesizeWords emits.
+TEST(MessagePlayerTest, DurationOfEqualsSynthesizedDuration) {
+  Random rng(1986);
+  const int rates[] = {4000, 8000, 11025, 16000};
+  for (int c = 0; c < 1000; ++c) {
+    voice::SpeakerParams speaker;
+    speaker.seed = rng.Next64();
+    speaker.jitter = rng.NextDouble() * 0.6;
+    speaker.sample_rate = rates[rng.Uniform(4)];
+    std::string transcript;
+    const uint64_t words = rng.Uniform(7);
+    for (uint64_t w = 0; w < words; ++w) {
+      if (w > 0) transcript += ' ';
+      const uint64_t letters = 1 + rng.Uniform(12);
+      for (uint64_t i = 0; i < letters; ++i) {
+        transcript += static_cast<char>('a' + rng.Uniform(26));
+      }
+    }
+    const std::vector<std::string> split = SplitWords(transcript);
+    const voice::SpeechSynthesizer synthesizer(speaker);
+    const voice::VoiceTrack track = synthesizer.SynthesizeWords(split);
+    SimClock clock;
+    const MessagePlayer player(&clock, speaker);
+    ASSERT_EQ(synthesizer.SampleCount(split), track.pcm.size())
+        << "case " << c << " transcript '" << transcript << "'";
+    ASSERT_EQ(player.DurationOf(transcript), track.pcm.Duration())
+        << "case " << c << " transcript '" << transcript << "'";
+  }
 }
 
 }  // namespace

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "minos/text/markup.h"
+#include "minos/util/random.h"
 #include "minos/voice/pcm.h"
 #include "minos/voice/synthesizer.h"
 
@@ -45,6 +50,43 @@ TEST(PcmBufferTest, RmsEnergyClampsSpan) {
   pcm.AppendConstant(10, 16000);
   EXPECT_GT(pcm.RmsEnergy(SampleSpan{0, 1000}), 0.0);
   EXPECT_DOUBLE_EQ(pcm.RmsEnergy(SampleSpan{50, 60}), 0.0);
+}
+
+/// RmsEnergy as a double-precision sum of normalized squares: the
+/// reference the integer sum must equal bit for bit on frame-sized spans.
+double DoubleSumRms(const PcmBuffer& pcm, SampleSpan span) {
+  double sum = 0.0;
+  for (size_t i = span.begin; i < span.end; ++i) {
+    const double s = static_cast<double>(pcm.sample(i)) / 32768.0;
+    sum += s * s;
+  }
+  return std::sqrt(sum / static_cast<double>(span.length()));
+}
+
+TEST(PcmBufferTest, RmsEnergyMatchesDoubleSumReference) {
+  Random rng(808);
+  for (int c = 0; c < 300; ++c) {
+    std::vector<int16_t> samples(1 + rng.Uniform(5000));
+    const int64_t amplitude = 1 + static_cast<int64_t>(rng.Uniform(32768));
+    for (int16_t& s : samples) {
+      s = static_cast<int16_t>(rng.UniformRange(-amplitude, amplitude - 1));
+    }
+    const PcmBuffer pcm(8000, std::move(samples));
+    const size_t begin = rng.Uniform(pcm.size());
+    const size_t end = begin + 1 + rng.Uniform(pcm.size() - begin);
+    const SampleSpan span{begin, end};
+    ASSERT_EQ(pcm.RmsEnergy(span), DoubleSumRms(pcm, span)) << "case " << c;
+  }
+}
+
+TEST(PcmBufferTest, RmsEnergyOfFullScaleNegativeFrames) {
+  for (size_t n : {size_t{1}, size_t{80}, size_t{4096}, size_t{1} << 16}) {
+    PcmBuffer pcm(8000);
+    pcm.AppendConstant(n, -32768);
+    const SampleSpan span{0, n};
+    EXPECT_EQ(pcm.RmsEnergy(span), DoubleSumRms(pcm, span)) << "n " << n;
+    EXPECT_EQ(pcm.RmsEnergy(span), 1.0) << "n " << n;
+  }
 }
 
 TEST(SampleSpanTest, Contains) {
