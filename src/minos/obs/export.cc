@@ -60,89 +60,9 @@ std::string SnapshotToJson(const MetricsSnapshot& snapshot,
   return out;
 }
 
-std::string SnapshotToCsv(const MetricsSnapshot& snapshot) {
-  std::string out = "kind,name,field,value\n";
-  for (const auto& [name, value] : snapshot.counters) {
-    out += "counter," + name + ",value," + std::to_string(value) + "\n";
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    out += "gauge," + name + ",value," + JsonNumber(value) + "\n";
-  }
-  for (const HistogramSummary& h : snapshot.histograms) {
-    out += "histogram," + h.name + ",count," + std::to_string(h.count) + "\n";
-    out += "histogram," + h.name + ",sum," + JsonNumber(h.sum) + "\n";
-    out += "histogram," + h.name + ",min," + JsonNumber(h.min) + "\n";
-    out += "histogram," + h.name + ",max," + JsonNumber(h.max) + "\n";
-    out += "histogram," + h.name + ",mean," + JsonNumber(h.mean) + "\n";
-    out += "histogram," + h.name + ",p50," + JsonNumber(h.p50) + "\n";
-    out += "histogram," + h.name + ",p90," + JsonNumber(h.p90) + "\n";
-    out += "histogram," + h.name + ",p99," + JsonNumber(h.p99) + "\n";
-  }
-  return out;
-}
-
 Status WriteSnapshotJson(const MetricsRegistry& registry,
                          const std::string& path, const SnapshotMeta& meta) {
   return WriteFile(path, SnapshotToJson(registry.Snapshot(), meta) + "\n");
-}
-
-Status WriteSnapshotCsv(const MetricsRegistry& registry,
-                        const std::string& path) {
-  return WriteFile(path, SnapshotToCsv(registry.Snapshot()));
-}
-
-Status ValidateSnapshotJson(const std::string& json) {
-  MINOS_ASSIGN_OR_RETURN(JsonValue root, ParseJson(json));
-  if (!root.is_object()) {
-    return Status::InvalidArgument("snapshot is not a JSON object");
-  }
-  if (root.Get("schema").string() != kMetricsSchema) {
-    return Status::InvalidArgument("schema tag is not '" +
-                                   std::string(kMetricsSchema) + "'");
-  }
-  if (!root.Get("bench").is_string()) {
-    return Status::InvalidArgument("missing string field 'bench'");
-  }
-  if (!root.Get("sim_time_us").is_number()) {
-    return Status::InvalidArgument("missing numeric field 'sim_time_us'");
-  }
-  // `workers` entered the header after v1 shipped; absent means a
-  // serial writer (tolerated), present means it must be numeric.
-  if (!root.Get("workers").is_null() && !root.Get("workers").is_number()) {
-    return Status::InvalidArgument("field 'workers' is not numeric");
-  }
-  for (const char* section : {"counters", "gauges", "histograms"}) {
-    if (!root.Get(section).is_object()) {
-      return Status::InvalidArgument(std::string("missing object section '") +
-                                     section + "'");
-    }
-  }
-  for (const auto& [name, value] : root.Get("counters").object()) {
-    if (!value.is_number()) {
-      return Status::InvalidArgument("counter '" + name + "' is not numeric");
-    }
-  }
-  for (const auto& [name, value] : root.Get("gauges").object()) {
-    if (!value.is_number()) {
-      return Status::InvalidArgument("gauge '" + name + "' is not numeric");
-    }
-  }
-  static constexpr const char* kHistogramFields[] = {
-      "count", "sum", "min", "max", "mean", "p50", "p90", "p99"};
-  for (const auto& [name, value] : root.Get("histograms").object()) {
-    if (!value.is_object()) {
-      return Status::InvalidArgument("histogram '" + name +
-                                     "' is not an object");
-    }
-    for (const char* field : kHistogramFields) {
-      if (!value.Get(field).is_number()) {
-        return Status::InvalidArgument("histogram '" + name +
-                                       "' lacks numeric field '" + field +
-                                       "'");
-      }
-    }
-  }
-  return Status::OK();
 }
 
 }  // namespace minos::obs

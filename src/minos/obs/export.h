@@ -21,7 +21,7 @@ struct SnapshotMeta {
   int workers = 1;
 };
 
-/// Schema identifier written into (and required of) every snapshot.
+/// Schema identifier written into every snapshot.
 inline constexpr char kMetricsSchema[] = "minos.metrics.v1";
 
 /// Serializes a snapshot as one JSON document:
@@ -32,24 +32,10 @@ inline constexpr char kMetricsSchema[] = "minos.metrics.v1";
 std::string SnapshotToJson(const MetricsSnapshot& snapshot,
                            const SnapshotMeta& meta = {});
 
-/// Serializes a snapshot as CSV rows: kind,name,field,value — one row
-/// per counter/gauge and one per histogram summary field.
-std::string SnapshotToCsv(const MetricsSnapshot& snapshot);
-
 /// Snapshots `registry` and writes the JSON document to `path`.
 Status WriteSnapshotJson(const MetricsRegistry& registry,
                          const std::string& path,
                          const SnapshotMeta& meta = {});
-
-/// Snapshots `registry` and writes the CSV document to `path`.
-Status WriteSnapshotCsv(const MetricsRegistry& registry,
-                        const std::string& path);
-
-/// Validates that `json` is a well-formed minos.metrics.v1 snapshot:
-/// correct schema tag, sections present, every histogram carrying the
-/// full summary field set. Returns the offending detail on failure.
-/// (C++ twin of tools/check_stats_schema.py.)
-Status ValidateSnapshotJson(const std::string& json);
 
 }  // namespace minos::obs
 

@@ -1,247 +1,9 @@
 #include "minos/obs/json.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 namespace minos::obs {
-
-namespace {
-
-const JsonValue& NullSingleton() {
-  static const JsonValue* null = new JsonValue();
-  return *null;
-}
-
-/// Recursive-descent parser over [pos, text.size()).
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  StatusOr<JsonValue> Parse() {
-    MINOS_ASSIGN_OR_RETURN(JsonValue v, ParseValue());
-    SkipWhitespace();
-    if (pos_ != text_.size()) {
-      return Status::InvalidArgument("trailing characters at offset " +
-                                     std::to_string(pos_));
-    }
-    return v;
-  }
-
- private:
-  void SkipWhitespace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  Status Fail(const std::string& what) {
-    return Status::InvalidArgument(what + " at offset " +
-                                   std::to_string(pos_));
-  }
-
-  bool Consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool ConsumeLiteral(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) == lit) {
-      pos_ += lit.size();
-      return true;
-    }
-    return false;
-  }
-
-  StatusOr<JsonValue> ParseValue() {
-    SkipWhitespace();
-    if (pos_ >= text_.size()) return Fail("unexpected end of input");
-    const char c = text_[pos_];
-    if (c == '{') return ParseObject();
-    if (c == '[') return ParseArray();
-    if (c == '"') {
-      MINOS_ASSIGN_OR_RETURN(std::string s, ParseString());
-      return JsonValue::String(std::move(s));
-    }
-    if (ConsumeLiteral("true")) return JsonValue::Bool(true);
-    if (ConsumeLiteral("false")) return JsonValue::Bool(false);
-    if (ConsumeLiteral("null")) return JsonValue::Null();
-    if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) {
-      return ParseNumber();
-    }
-    return Fail(std::string("unexpected character '") + c + "'");
-  }
-
-  StatusOr<JsonValue> ParseNumber() {
-    const size_t start = pos_;
-    if (Consume('-')) {
-    }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size() || token.empty()) {
-      return Fail("malformed number '" + token + "'");
-    }
-    return JsonValue::Number(v);
-  }
-
-  StatusOr<std::string> ParseString() {
-    if (!Consume('"')) return Fail("expected '\"'");
-    std::string out;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) return Fail("truncated escape");
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return Fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return Fail("bad \\u escape digit");
-            }
-          }
-          // The exporters only escape control characters, so a basic
-          // UTF-8 encoding of the BMP code point suffices.
-          if (code < 0x80) {
-            out.push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          } else {
-            out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          }
-          break;
-        }
-        default:
-          return Fail(std::string("unknown escape '\\") + esc + "'");
-      }
-    }
-    return Fail("unterminated string");
-  }
-
-  StatusOr<JsonValue> ParseArray() {
-    if (!Consume('[')) return Fail("expected '['");
-    std::vector<JsonValue> items;
-    SkipWhitespace();
-    if (Consume(']')) return JsonValue::Array(std::move(items));
-    while (true) {
-      MINOS_ASSIGN_OR_RETURN(JsonValue v, ParseValue());
-      items.push_back(std::move(v));
-      SkipWhitespace();
-      if (Consume(']')) return JsonValue::Array(std::move(items));
-      if (!Consume(',')) return Fail("expected ',' or ']'");
-    }
-  }
-
-  StatusOr<JsonValue> ParseObject() {
-    if (!Consume('{')) return Fail("expected '{'");
-    std::map<std::string, JsonValue> members;
-    SkipWhitespace();
-    if (Consume('}')) return JsonValue::Object(std::move(members));
-    while (true) {
-      SkipWhitespace();
-      MINOS_ASSIGN_OR_RETURN(std::string key, ParseString());
-      SkipWhitespace();
-      if (!Consume(':')) return Fail("expected ':'");
-      MINOS_ASSIGN_OR_RETURN(JsonValue v, ParseValue());
-      members[std::move(key)] = std::move(v);
-      SkipWhitespace();
-      if (Consume('}')) return JsonValue::Object(std::move(members));
-      if (!Consume(',')) return Fail("expected ',' or '}'");
-    }
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-};
-
-}  // namespace
-
-const JsonValue& JsonValue::Get(std::string_view key) const {
-  if (kind_ != Kind::kObject) return NullSingleton();
-  auto it = object_.find(std::string(key));
-  return it == object_.end() ? NullSingleton() : it->second;
-}
-
-bool JsonValue::Has(std::string_view key) const {
-  return kind_ == Kind::kObject && object_.count(std::string(key)) > 0;
-}
-
-JsonValue JsonValue::Null() { return JsonValue(); }
-
-JsonValue JsonValue::Bool(bool b) {
-  JsonValue v;
-  v.kind_ = Kind::kBool;
-  v.bool_ = b;
-  return v;
-}
-
-JsonValue JsonValue::Number(double n) {
-  JsonValue v;
-  v.kind_ = Kind::kNumber;
-  v.number_ = n;
-  return v;
-}
-
-JsonValue JsonValue::String(std::string s) {
-  JsonValue v;
-  v.kind_ = Kind::kString;
-  v.string_ = std::move(s);
-  return v;
-}
-
-JsonValue JsonValue::Array(std::vector<JsonValue> items) {
-  JsonValue v;
-  v.kind_ = Kind::kArray;
-  v.array_ = std::move(items);
-  return v;
-}
-
-JsonValue JsonValue::Object(std::map<std::string, JsonValue> members) {
-  JsonValue v;
-  v.kind_ = Kind::kObject;
-  v.object_ = std::move(members);
-  return v;
-}
-
-StatusOr<JsonValue> ParseJson(std::string_view text) {
-  return Parser(text).Parse();
-}
 
 std::string JsonEscape(std::string_view s) {
   std::string out;

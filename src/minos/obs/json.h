@@ -1,66 +1,10 @@
 #ifndef MINOS_OBS_JSON_H_
 #define MINOS_OBS_JSON_H_
 
-#include <map>
 #include <string>
 #include <string_view>
-#include <vector>
-
-#include "minos/util/statusor.h"
 
 namespace minos::obs {
-
-/// Minimal JSON document model, sufficient for the metrics/trace
-/// interchange formats: snapshots and span logs are written by the
-/// exporters in export.h and read back by tests, the schema checker and
-/// replay tooling. Not a general-purpose JSON library — numbers are
-/// doubles, object keys are unique, and no unicode escapes beyond
-/// \uXXXX pass-through are produced.
-class JsonValue {
- public:
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-
-  JsonValue() = default;
-
-  Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::kNull; }
-  bool is_bool() const { return kind_ == Kind::kBool; }
-  bool is_number() const { return kind_ == Kind::kNumber; }
-  bool is_string() const { return kind_ == Kind::kString; }
-  bool is_array() const { return kind_ == Kind::kArray; }
-  bool is_object() const { return kind_ == Kind::kObject; }
-
-  bool bool_value() const { return bool_; }
-  double number() const { return number_; }
-  const std::string& string() const { return string_; }
-  const std::vector<JsonValue>& array() const { return array_; }
-  const std::map<std::string, JsonValue>& object() const { return object_; }
-
-  /// Member lookup; returns null when absent or not an object.
-  const JsonValue& Get(std::string_view key) const;
-
-  /// True when the object has `key`.
-  bool Has(std::string_view key) const;
-
-  static JsonValue Null();
-  static JsonValue Bool(bool b);
-  static JsonValue Number(double n);
-  static JsonValue String(std::string s);
-  static JsonValue Array(std::vector<JsonValue> items);
-  static JsonValue Object(std::map<std::string, JsonValue> members);
-
- private:
-  Kind kind_ = Kind::kNull;
-  bool bool_ = false;
-  double number_ = 0.0;
-  std::string string_;
-  std::vector<JsonValue> array_;
-  std::map<std::string, JsonValue> object_;
-};
-
-/// Parses a complete JSON document; InvalidArgument on malformed input
-/// or trailing garbage.
-StatusOr<JsonValue> ParseJson(std::string_view text);
 
 /// Escapes `s` for inclusion inside JSON double quotes.
 std::string JsonEscape(std::string_view s);

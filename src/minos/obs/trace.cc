@@ -5,7 +5,6 @@
 #include <map>
 
 #include "minos/obs/json.h"
-#include "minos/util/logging.h"
 
 namespace minos::obs {
 
@@ -56,12 +55,6 @@ void Tracer::set_capacity(size_t max_spans) {
   std::lock_guard<std::mutex> lock(mu_);
   ClearLocked();
   capacity_ = max_spans;
-}
-
-void Tracer::set_exemplar_capacity(size_t k) {
-  std::lock_guard<std::mutex> lock(mu_);
-  exemplar_capacity_ = k;
-  if (exemplars_.size() > k) exemplars_.resize(k);
 }
 
 void Tracer::SetSampleRate(double rate) {
@@ -252,9 +245,9 @@ void Tracer::Finish(uint64_t seq, uint64_t span_id) {
   }
   if ((seq & kTaskLocalBit) != 0) {
     // A sink span finishes inside its own task: stamp the end time now
-    // (the task's clock frame is still installed); the %id/mirror/log/
-    // exemplar effects run at commit, in deterministic task order. A
-    // handle that outlived its task finds no sink and is dropped.
+    // (the task's clock frame is still installed); the %id/mirror
+    // effects run at commit, in deterministic task order. A handle
+    // that outlived its task finds no sink and is dropped.
     TaskSink* sink = CurrentSink();
     if (sink == nullptr) return;
     const size_t idx = static_cast<size_t>(seq & ~kTaskLocalBit);
@@ -284,20 +277,6 @@ void Tracer::FinishEffectsLocked(SpanRecord& rec) {
   if (registry_ != nullptr) {
     registry_->histogram("span." + sanitized + "_us")
         ->Record(static_cast<double>(rec.duration_us()));
-  }
-  if (log_spans_) {
-    Logger::Get().Log(
-        LogLevel::kDebug, "obs/trace.cc", 0, "span",
-        {{"name", rec.name},
-         {"start_us", std::to_string(rec.start_us)},
-         {"dur_us", std::to_string(rec.duration_us())},
-         {"depth", std::to_string(rec.depth)},
-         {"trace_id", std::to_string(rec.trace_id)},
-         {"span_id", std::to_string(rec.span_id)},
-         {"parent_span_id", std::to_string(rec.parent_span_id)}});
-  }
-  if (rec.parent_span_id == 0 && exemplar_capacity_ > 0) {
-    CaptureExemplar(rec);
   }
 }
 
@@ -350,27 +329,6 @@ void Tracer::CommitTaskSink(TaskSink& sink) {
   sink.next_local_ = 1;
 }
 
-void Tracer::CaptureExemplar(const SpanRecord& root) {
-  if (exemplars_.size() >= exemplar_capacity_ &&
-      root.duration_us() <= exemplars_.back().duration_us) {
-    return;
-  }
-  TraceExemplar ex;
-  ex.trace_id = root.trace_id;
-  ex.root_name = root.name;
-  ex.duration_us = root.duration_us();
-  for (SpanRecord& rec : OrderedSpansLocked()) {
-    if (rec.trace_id == root.trace_id) ex.spans.push_back(std::move(rec));
-  }
-  auto pos = std::upper_bound(exemplars_.begin(), exemplars_.end(),
-                              ex.duration_us,
-                              [](Micros d, const TraceExemplar& e) {
-                                return d > e.duration_us;
-                              });
-  exemplars_.insert(pos, std::move(ex));
-  if (exemplars_.size() > exemplar_capacity_) exemplars_.pop_back();
-}
-
 std::vector<SpanRecord> Tracer::OrderedSpans() const {
   std::lock_guard<std::mutex> lock(mu_);
   return OrderedSpansLocked();
@@ -397,7 +355,6 @@ void Tracer::ClearLocked() {
   // deliberately not reset so stale handles can never alias new records.
   open_.clear();
   spans_.clear();
-  exemplars_.clear();
   started_ = 0;
   dropped_spans_ = 0;
   sample_accum_ = 0.0;
@@ -439,90 +396,6 @@ std::string Tracer::ToJson(const TraceMeta& meta) const {
     out += "}";
   }
   out += "]}";
-  return out;
-}
-
-std::string Tracer::ToChromeTrace() const {
-  // Chrome trace-event format: one "X" (complete) event per span, one
-  // tid track per trace so overlapping scatter/prefetch work renders
-  // side by side in chrome://tracing / Perfetto.
-  std::lock_guard<std::mutex> lock(mu_);
-  std::map<uint64_t, int> tids;
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  for (const SpanRecord& s : OrderedSpansLocked()) {
-    auto [it, inserted] =
-        tids.emplace(s.trace_id, static_cast<int>(tids.size()) + 1);
-    if (!first) out += ",";
-    first = false;
-    out += "{\"name\":\"" + JsonEscape(s.name) + "\"";
-    out += ",\"cat\":\"minos\",\"ph\":\"X\"";
-    out += ",\"ts\":" + std::to_string(s.start_us);
-    out += ",\"dur\":" + std::to_string(s.duration_us());
-    out += ",\"pid\":1,\"tid\":" + std::to_string(it->second);
-    out += ",\"args\":{\"trace_id\":\"" + std::to_string(s.trace_id);
-    out += "\",\"span_id\":\"" + std::to_string(s.span_id);
-    out += "\",\"parent_span_id\":\"" + std::to_string(s.parent_span_id);
-    out += "\"";
-    for (const auto& [k, v] : s.tags) {
-      out += ",\"" + JsonEscape(k) + "\":\"" + JsonEscape(v) + "\"";
-    }
-    out += "}}";
-  }
-  out += "]}";
-  return out;
-}
-
-StatusOr<std::vector<SpanRecord>> Tracer::FromJson(std::string_view json) {
-  MINOS_ASSIGN_OR_RETURN(JsonValue root, ParseJson(json));
-  if (!root.is_object()) {
-    return Status::InvalidArgument("not a minos.trace document");
-  }
-  if (!root.Get("schema").is_string() ||
-      root.Get("schema").string() != "minos.trace.v1") {
-    return Status::InvalidArgument("schema tag is not minos.trace.v1");
-  }
-  if (!root.Get("spans").is_array()) {
-    return Status::InvalidArgument("missing spans array");
-  }
-  std::vector<SpanRecord> out;
-  for (const JsonValue& v : root.Get("spans").array()) {
-    if (!v.is_object()) {
-      return Status::InvalidArgument("span entry is not an object");
-    }
-    if (!v.Get("name").is_string()) {
-      return Status::InvalidArgument("span name is not a string");
-    }
-    for (const char* key : {"trace_id", "span_id", "parent_span_id",
-                            "start_us", "end_us", "depth", "parent"}) {
-      if (v.Has(key) && !v.Get(key).is_number()) {
-        return Status::InvalidArgument(std::string("span field '") + key +
-                                       "' is not a number");
-      }
-    }
-    SpanRecord s;
-    s.name = v.Get("name").string();
-    s.trace_id = static_cast<uint64_t>(v.Get("trace_id").number());
-    s.span_id = static_cast<uint64_t>(v.Get("span_id").number());
-    s.parent_span_id =
-        static_cast<uint64_t>(v.Get("parent_span_id").number());
-    s.start_us = static_cast<Micros>(v.Get("start_us").number());
-    s.end_us = static_cast<Micros>(v.Get("end_us").number());
-    s.depth = static_cast<int>(v.Get("depth").number());
-    s.parent = static_cast<int64_t>(v.Get("parent").number());
-    if (v.Has("tags")) {
-      if (!v.Get("tags").is_object()) {
-        return Status::InvalidArgument("span tags is not an object");
-      }
-      for (const auto& [k, tv] : v.Get("tags").object()) {
-        if (!tv.is_string()) {
-          return Status::InvalidArgument("span tag value is not a string");
-        }
-        s.tags.emplace_back(k, tv.string());
-      }
-    }
-    out.push_back(std::move(s));
-  }
   return out;
 }
 

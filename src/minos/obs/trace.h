@@ -2,7 +2,6 @@
 #define MINOS_OBS_TRACE_H_
 
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -12,7 +11,6 @@
 
 #include "minos/obs/metrics.h"
 #include "minos/util/clock.h"
-#include "minos/util/statusor.h"
 
 namespace minos::obs {
 
@@ -64,17 +62,6 @@ struct SpanRecord {
   const std::string* FindTag(std::string_view key) const;
 };
 
-/// One slow-request exemplar: a root span plus the full trace it headed,
-/// snapshotted when the root finished. The exemplar log keeps the
-/// slowest K roots so the p99 tail stays explainable even after the
-/// span ring buffer has wrapped past the original records.
-struct TraceExemplar {
-  uint64_t trace_id = 0;
-  std::string root_name;
-  Micros duration_us = 0;
-  std::vector<SpanRecord> spans;  ///< Oldest first; includes the root.
-};
-
 /// Strips per-object identifiers (maximal decimal digit runs) from a
 /// span name, replacing each with "%id" — "open#42" becomes "open#%id".
 /// Used for the `span.<name>_us` histogram mirror so metric cardinality
@@ -97,10 +84,11 @@ class TraceSpan;
 ///    rewinds make concurrent work overlap (scatter/gather, prefetch).
 ///
 /// Finished spans optionally feed a `span.<sanitized name>_us`
-/// histogram in a MetricsRegistry and/or the structured log stream, so
-/// traces, metrics and log records line up on one timeline. Storage is
-/// an optional ring buffer (set_capacity) with a `trace.dropped_spans`
-/// counter, plus a keep-slowest exemplar log of finished root traces.
+/// histogram in a MetricsRegistry, so traces and metrics line up on one
+/// timeline. Storage is an optional ring buffer (set_capacity) with a
+/// `trace.dropped_spans` counter. The tracer only writes: ToJson is its
+/// one output format, and tools/trace_report.py and
+/// tools/check_stats_schema.py read, check and convert that file.
 ///
 /// ## Thread safety
 ///
@@ -137,19 +125,11 @@ class Tracer {
     registry_ = registry;
   }
 
-  /// Emits a structured log record (level kDebug, module "trace") per
-  /// finished span, so spans and log records share one event stream.
-  void set_log_spans(bool log_spans) { log_spans_ = log_spans; }
-
   /// Caps span storage at `max_spans` (0 = unbounded, the default).
   /// Once full, each new span overwrites the oldest record and bumps
   /// the `trace.dropped_spans` counter. Existing records are discarded
   /// (equivalent to Clear()) so the ring geometry is well defined.
   void set_capacity(size_t max_spans);
-
-  /// Keeps the `k` slowest finished root traces as exemplars
-  /// (default 4; 0 disables exemplar capture).
-  void set_exemplar_capacity(size_t k);
 
   /// Head-based sampling: keeps roughly `rate` of new trace *roots*
   /// (clamped to [0, 1]; 1 = trace everything, the default). Admission
@@ -192,9 +172,6 @@ class Tracer {
   /// Spans overwritten by the ring buffer since the last Clear().
   uint64_t dropped_spans() const { return dropped_spans_; }
 
-  /// Slow-request exemplars, slowest first.
-  const std::vector<TraceExemplar>& exemplars() const { return exemplars_; }
-
   /// Depth of the currently open ambient span chain (0 = none open).
   int open_depth() const { return static_cast<int>(open_.size()); }
 
@@ -212,17 +189,6 @@ class Tracer {
   /// tools/trace_report.py reconciles the critical path against.
   std::string ToJson() const { return ToJson(TraceMeta{}); }
   std::string ToJson(const TraceMeta& meta) const;
-
-  /// Serializes spans in the Chrome trace-event format ("ph":"X"
-  /// complete events), loadable in chrome://tracing and Perfetto. Each
-  /// trace renders as its own track (tid), args carry span ids + tags.
-  std::string ToChromeTrace() const;
-
-  /// Parses ToJson() output back into records (round-trip support for
-  /// replay tooling and tests). Rejects documents whose schema tag is
-  /// not "minos.trace.v1" and any structurally malformed span entry;
-  /// never crashes on truncated or corrupt input.
-  static StatusOr<std::vector<SpanRecord>> FromJson(std::string_view json);
 
   /// Marks task-local span/trace ids inside a TaskSink; commit replaces
   /// them with ids from the shared counters. Real ids never reach this
@@ -272,9 +238,9 @@ class Tracer {
 
   /// Moves a task's buffered spans into shared storage, assigning final
   /// span/trace ids from the shared counters and running the deferred
-  /// finish effects (%id tag, histogram mirror, log record, ring
-  /// eviction, exemplar capture) in buffer order. Call from the epoch
-  /// barrier, in task order; the sink resets for reuse.
+  /// finish effects (%id tag, histogram mirror, ring eviction) in
+  /// buffer order. Call from the epoch barrier, in task order; the sink
+  /// resets for reuse.
   void CommitTaskSink(TaskSink& sink);
 
  private:
@@ -315,14 +281,13 @@ class Tracer {
   /// additionally pops its suppression marker). Caller holds mu_ when
   /// pushing the marker.
   TraceSpan SuppressedSpan(std::string name, bool ambient);
-  /// The deferred half of Finish: %id tag, histogram mirror, log
-  /// record, root exemplar. Caller holds mu_.
+  /// The deferred half of Finish: %id tag, histogram mirror. Caller
+  /// holds mu_.
   void FinishEffectsLocked(SpanRecord& rec);
   void ClearLocked();
   void Finish(uint64_t seq, uint64_t span_id);
   void Tag(uint64_t seq, uint64_t span_id, std::string_view key,
            std::string value);
-  void CaptureExemplar(const SpanRecord& root);
   std::vector<SpanRecord> OrderedSpansLocked() const;
 
   /// Guards every shared member below. Sink-routed operations do not
@@ -330,9 +295,7 @@ class Tracer {
   mutable std::mutex mu_;
   const Clock* clock_;
   MetricsRegistry* registry_ = nullptr;
-  bool log_spans_ = false;
   size_t capacity_ = 0;           ///< 0 = unbounded.
-  size_t exemplar_capacity_ = 4;  ///< Slowest roots kept.
   uint64_t started_ = 0;          ///< Spans started since Clear().
   uint64_t dropped_spans_ = 0;
   double sample_rate_ = 1.0;      ///< Fraction of roots kept.
@@ -342,7 +305,6 @@ class Tracer {
   uint64_t next_trace_id_ = 1;  ///< Never reset.
   std::vector<OpenEntry> open_;  ///< Ambient stack, innermost last.
   std::vector<SpanRecord> spans_;
-  std::vector<TraceExemplar> exemplars_;  ///< Slowest first.
 
   /// Sink installed on the calling thread (TaskSinkScope), any tracer.
   inline static thread_local TaskSink* t_sink_ = nullptr;

@@ -24,13 +24,12 @@ TaskPool::~TaskPool() {
   for (std::thread& t : workers_) t.join();
 }
 
-std::vector<Micros> TaskPool::RunEpoch(std::vector<Task> tasks,
-                                       TimeModel model) {
+std::vector<Micros> TaskPool::RunEpoch(std::vector<Task> tasks) {
   if (tasks.empty()) return {};
   // A task submitting an epoch would deadlock waiting for workers that
   // are waiting for it, and a zero-worker pool has none: both run the
   // epoch inline on the caller's frame.
-  if (t_in_task_ || workers_.empty()) return RunInline(tasks, model);
+  if (t_in_task_ || workers_.empty()) return RunInline(tasks);
 
   const Micros base = clock_->Now();
   std::vector<Micros> costs(tasks.size(), 0);
@@ -86,7 +85,7 @@ std::vector<Micros> TaskPool::RunEpoch(std::vector<Task> tasks,
 
   // The barrier: fold the frame costs into the frozen base clock,
   // commit the trace sinks in task order, then surface the first error.
-  clock_->AdvanceTo(base + FoldCosts(costs, model));
+  clock_->AdvanceTo(base + *std::max_element(costs.begin(), costs.end()));
   if (tracer_ != nullptr) {
     for (obs::Tracer::TaskSink* sink : sinks) {
       tracer_->CommitTaskSink(*sink);
@@ -97,8 +96,7 @@ std::vector<Micros> TaskPool::RunEpoch(std::vector<Task> tasks,
   return costs;
 }
 
-std::vector<Micros> TaskPool::RunInline(std::vector<Task>& tasks,
-                                        TimeModel model) {
+std::vector<Micros> TaskPool::RunInline(std::vector<Task>& tasks) {
   const Micros base = clock_->Now();
   std::vector<Micros> costs(tasks.size(), 0);
   std::vector<std::exception_ptr> errors(tasks.size());
@@ -114,21 +112,11 @@ std::vector<Micros> TaskPool::RunInline(std::vector<Task>& tasks,
   // Inside a task the "base clock" is the caller's own frame; AdvanceTo
   // is frame-aware, so the fold lands in the right timeline. Spans the
   // nested tasks started are already in the caller's sink, in order.
-  clock_->AdvanceTo(base + FoldCosts(costs, model));
+  clock_->AdvanceTo(base + *std::max_element(costs.begin(), costs.end()));
   epochs_run_.fetch_add(1, std::memory_order_relaxed);
   tasks_run_.fetch_add(tasks.size(), std::memory_order_relaxed);
   RethrowFirst(errors);
   return costs;
-}
-
-Micros TaskPool::FoldCosts(const std::vector<Micros>& costs,
-                           TimeModel model) {
-  Micros folded = 0;
-  for (Micros c : costs) {
-    folded = model == TimeModel::kParallel ? std::max(folded, c)
-                                           : folded + c;
-  }
-  return folded;
 }
 
 void TaskPool::RethrowFirst(const std::vector<std::exception_ptr>& errors) {
@@ -198,7 +186,6 @@ bool TaskPool::ClaimTask(size_t self, uint64_t generation, size_t* index) {
       if (victim.tasks.back().generation != generation) return false;
       *index = victim.tasks.back().index;
       victim.tasks.pop_back();
-      steals_.fetch_add(1, std::memory_order_relaxed);
       return true;
     }
   }

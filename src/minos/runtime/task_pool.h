@@ -32,11 +32,9 @@ namespace minos::runtime {
 /// SimClock::Frame starting at the epoch's base time, so concurrent
 /// tasks each see an isolated virtual timeline; the base clock is
 /// frozen until every task finishes. At the barrier the pool advances
-/// the base clock by the maximum frame cost (TimeModel::kParallel — the
-/// scatter semantics: overlapping work costs the slowest branch) or the
-/// sum (TimeModel::kSerial — work that models a shared serial resource),
-/// commits each task's trace sink in task order, and returns the
-/// per-task virtual costs.
+/// the base clock by the maximum frame cost (the scatter semantics:
+/// overlapping work costs the slowest branch), commits each task's
+/// trace sink in task order, and returns the per-task virtual costs.
 ///
 /// ## Determinism
 ///
@@ -44,10 +42,10 @@ namespace minos::runtime {
 /// results: task decomposition is the caller's (worker-independent),
 /// virtual costs come from per-task frames (schedule-independent), trace
 /// ids and span order are assigned at the barrier in task order, and the
-/// clock advance is a pure max/sum. Steal counts and wall time are the
-/// only schedule-dependent outputs, and they are deliberately exposed as
-/// plain accessors — never metrics-registry values — so BENCH snapshots
-/// stay byte-identical across worker counts.
+/// clock advance is a pure max. Which worker ran a task and the wall
+/// time it took are the only schedule-dependent facts, and neither
+/// reaches a metrics registry, so BENCH snapshots stay byte-identical
+/// across worker counts.
 ///
 /// Tasks must not touch the shared ambient tracer stack, and shared
 /// mutable structures they reach (caches, indexes, registries) must be
@@ -78,12 +76,6 @@ class TaskPool {
  public:
   using Task = std::function<void()>;
 
-  /// How the barrier folds per-task virtual costs into the base clock.
-  enum class TimeModel {
-    kParallel,  ///< Advance by the maximum cost (overlapping work).
-    kSerial,    ///< Advance by the sum (a shared serial resource).
-  };
-
   /// `clock` borrowed, required. `workers` real threads are spawned
   /// immediately and parked until the first epoch; 0 (or less) spawns
   /// none and runs every epoch inline on the caller.
@@ -105,25 +97,19 @@ class TaskPool {
   /// task order. Blocks until every task has finished and the barrier
   /// has advanced the clock. Reentrant calls from inside a task run
   /// inline (see class comment).
-  std::vector<Micros> RunEpoch(std::vector<Task> tasks,
-                               TimeModel model = TimeModel::kParallel);
+  std::vector<Micros> RunEpoch(std::vector<Task> tasks);
 
   /// True on a thread currently executing a pool task (any pool). Used
   /// by components whose shared-state maintenance must stay on the
   /// submitting thread (e.g. the router's routing-table refresh).
   static bool InTask() { return t_in_task_; }
 
-  /// Execution-layer statistics. Schedule-dependent by nature (steals
-  /// depend on thread timing), so they are wall artifacts — reported on
-  /// stdout by benches, never written into a MetricsRegistry.
+  /// Execution-layer statistics, never written into a MetricsRegistry.
   uint64_t epochs_run() const {
     return epochs_run_.load(std::memory_order_relaxed);
   }
   uint64_t tasks_run() const {
     return tasks_run_.load(std::memory_order_relaxed);
-  }
-  uint64_t steals() const {
-    return steals_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -167,8 +153,7 @@ class TaskPool {
   void RunTask(const Epoch& epoch, size_t index);
   /// Serial execution with identical semantics: nested RunEpoch calls
   /// and every epoch of a zero-worker pool.
-  std::vector<Micros> RunInline(std::vector<Task>& tasks, TimeModel model);
-  static Micros FoldCosts(const std::vector<Micros>& costs, TimeModel model);
+  std::vector<Micros> RunInline(std::vector<Task>& tasks);
   void RethrowFirst(const std::vector<std::exception_ptr>& errors);
 
   SimClock* clock_;
@@ -186,7 +171,6 @@ class TaskPool {
 
   std::atomic<uint64_t> epochs_run_{0};
   std::atomic<uint64_t> tasks_run_{0};
-  std::atomic<uint64_t> steals_{0};
 
   /// Set while the calling thread executes a pool task.
   inline static thread_local bool t_in_task_ = false;

@@ -196,7 +196,6 @@ class CircuitBreaker {
   void RecordFailure();
 
   State state() const { return state_; }
-  int consecutive_failures() const { return consecutive_failures_; }
   const Options& options() const { return options_; }
 
   /// True when an open breaker has sat out its cooldown, so the next

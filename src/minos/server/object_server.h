@@ -123,11 +123,7 @@ class ObjectServer : public ObjectStore {
 
   /// The recognizer accuracy profile voice postings are confidence-
   /// weighted with at Store time (§2: recognition happens at insertion).
-  /// Every shard of one archive must share one profile, or replica
-  /// scores diverge. Takes effect for subsequent Stores.
-  void SetRecognizerProfile(const voice::RecognizerParams& profile) {
-    recognizer_profile_ = profile;
-  }
+  /// The router weights its catalog-wide statistics with the same one.
   const voice::RecognizerParams& recognizer_profile() const {
     return recognizer_profile_;
   }

@@ -150,11 +150,6 @@ class Workstation {
   StatusOr<MiniatureBrowser> QueryRanked(
       const std::vector<std::string>& words, size_t k);
 
-  /// The ranked-result cache (introspection for tests).
-  const query::QueryResultCache& ranked_cache() const {
-    return ranked_cache_;
-  }
-
   /// Opens the selected object in the presentation manager.
   Status Present(storage::ObjectId id);
 

@@ -51,10 +51,9 @@ class Clock {
 /// Now/Sleep/Advance/AdvanceTo/RewindTo — acts on the frame's private
 /// time instead of the shared base time. Concurrent tasks therefore each
 /// see an isolated timeline starting at the epoch time; the pool's
-/// barrier folds the per-frame costs back into the base clock (max for
-/// overlapping work, sum for serialized work). The base time is frozen
-/// while an epoch runs, so frame installation is the only synchronization
-/// a task needs.
+/// barrier folds the per-frame costs back into the base clock by their
+/// maximum (overlapping work). The base time is frozen while an epoch
+/// runs, so frame installation is the only synchronization a task needs.
 class SimClock final : public Clock {
  public:
   /// Starts at time zero (or `start`).

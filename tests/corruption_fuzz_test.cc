@@ -10,7 +10,7 @@
 
 #include "minos/object/multimedia_object.h"
 #include "minos/object/part_codec.h"
-#include "minos/obs/trace.h"
+#include "minos/obs/metrics.h"
 #include "minos/server/fault.h"
 #include "minos/server/object_server.h"
 #include "minos/server/repair.h"
@@ -235,46 +235,6 @@ TEST(CorruptionFuzzTest, VoiceDocumentFlipsNeverCrash) {
         static_cast<char>(rng.Next64());
     auto decoded = object::DecodeVoiceDocument(mutated);
     (void)decoded;
-  }
-}
-
-TEST(CorruptionFuzzTest, TraceJsonTruncationsAndFlipsNeverCrash) {
-  // Trace snapshots travel through files and CI artifacts like archive
-  // bytes travel over the wire: FromJson must fail cleanly — never
-  // crash — on every truncation and on random single-byte damage.
-  SimClock clock;
-  obs::Tracer tracer(&clock);
-  {
-    obs::TraceSpan root = tracer.StartSpan("req \"quoted\"#42");
-    root.AddTag("shard", "3");
-    clock.Advance(10);
-    obs::TraceSpan child = tracer.StartSpan("work\\path");
-    clock.Advance(5);
-  }
-  const std::string json = tracer.ToJson();
-  ASSERT_TRUE(obs::Tracer::FromJson(json).ok());
-  for (size_t cut = 0; cut < json.size(); cut += 3) {
-    auto parsed =
-        obs::Tracer::FromJson(std::string_view(json).substr(0, cut));
-    // A strict prefix is never a complete document.
-    EXPECT_FALSE(parsed.ok());
-  }
-  Random rng(0xACE);
-  for (int trial = 0; trial < 400; ++trial) {
-    std::string mutated = json;
-    const size_t pos = rng.Uniform(mutated.size());
-    mutated[pos] = static_cast<char>(rng.Next64());
-    auto parsed = obs::Tracer::FromJson(mutated);
-    if (parsed.ok()) {
-      // A surviving parse must be structurally sound span records:
-      // names came out of the document, tags are fully materialized.
-      for (const obs::SpanRecord& s : *parsed) {
-        EXPECT_LE(s.name.size(), mutated.size());
-        for (const auto& [key, value] : s.tags) {
-          EXPECT_LE(key.size() + value.size(), mutated.size());
-        }
-      }
-    }
   }
 }
 

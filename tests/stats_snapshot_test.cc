@@ -14,7 +14,6 @@
 #include "gtest/gtest.h"
 #include "minos/core/visual_browser.h"
 #include "minos/obs/export.h"
-#include "minos/obs/json.h"
 #include "minos/obs/metrics.h"
 #include "minos/server/object_server.h"
 #include "minos/storage/archiver.h"
@@ -107,115 +106,70 @@ TEST(StatsSnapshotTest, ExportedSnapshotCarriesEveryPipelineFamily) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   reg.Reset();  // Deterministic instance scopes: block_cache0, link0, ...
   const Micros sim_time = DriveSession();
+  const obs::MetricsSnapshot snap = reg.Snapshot();
 
   obs::SnapshotMeta meta{"stats_snapshot_test", sim_time};
-  const std::string json = obs::SnapshotToJson(reg.Snapshot(), meta);
-  ASSERT_TRUE(obs::ValidateSnapshotJson(json).ok())
-      << obs::ValidateSnapshotJson(json).ToString();
-
-  auto parsed = obs::ParseJson(json);
-  ASSERT_TRUE(parsed.ok());
-  const obs::JsonValue& root = *parsed;
-  EXPECT_EQ(root.Get("schema").string(), "minos.metrics.v1");
-  EXPECT_EQ(root.Get("bench").string(), "stats_snapshot_test");
-  EXPECT_EQ(static_cast<Micros>(root.Get("sim_time_us").number()),
-            sim_time);
+  const std::string json = obs::SnapshotToJson(snap, meta);
+  const std::string header =
+      R"({"schema":"minos.metrics.v1","bench":"stats_snapshot_test",)"
+      R"("sim_time_us":)" +
+      std::to_string(sim_time) + ",";
+  EXPECT_EQ(json.substr(0, header.size()), header);
 
   // Block cache and link families (counters).
-  const obs::JsonValue& counters = root.Get("counters");
   for (const char* name :
        {"block_cache0.hits", "block_cache0.misses",
         "block_cache0.evictions", "link0.bytes_total", "link0.transfers",
         "server.fetches"}) {
-    ASSERT_TRUE(counters.Has(name)) << "missing counter " << name;
+    EXPECT_TRUE(snap.HasCounter(name)) << "missing counter " << name;
   }
-  EXPECT_GT(counters.Get("block_cache0.hits").number(), 0);
-  EXPECT_GT(counters.Get("block_cache0.misses").number(), 0);
-  EXPECT_GT(counters.Get("link0.bytes_total").number(), 0);
-  EXPECT_GT(counters.Get("link0.transfers").number(), 0);
+  EXPECT_GT(snap.CounterValue("block_cache0.hits"), 0);
+  EXPECT_GT(snap.CounterValue("block_cache0.misses"), 0);
+  EXPECT_GT(snap.CounterValue("link0.bytes_total"), 0);
+  EXPECT_GT(snap.CounterValue("link0.transfers"), 0);
 
-  // Scheduler queueing-delay percentiles and page-turn latency
-  // (histograms with the full summary field set).
-  const obs::JsonValue& histograms = root.Get("histograms");
+  // Scheduler queueing-delay percentiles, page-turn latency and link
+  // transfer time (histograms).
   for (const char* name :
        {"scheduler.fcfs.queueing_delay_us", "scheduler.fcfs.service_time_us",
         "browser.visual.page_turn_us", "link0.transfer_us"}) {
-    SCOPED_TRACE(name);
-    ASSERT_TRUE(histograms.Has(name)) << "missing histogram " << name;
-    const obs::JsonValue& h = histograms.Get(name);
-    for (const char* field :
-         {"count", "sum", "min", "max", "mean", "p50", "p90", "p99"}) {
-      EXPECT_TRUE(h.Has(field)) << "missing field " << field;
-    }
+    EXPECT_NE(snap.FindHistogram(name), nullptr)
+        << "missing histogram " << name;
   }
-  EXPECT_GT(
-      histograms.Get("scheduler.fcfs.queueing_delay_us").Get("count")
-          .number(),
-      0);
-  EXPECT_GT(
-      histograms.Get("browser.visual.page_turn_us").Get("count").number(),
-      0);
+  const obs::HistogramSummary* queueing =
+      snap.FindHistogram("scheduler.fcfs.queueing_delay_us");
+  ASSERT_NE(queueing, nullptr);
+  EXPECT_GT(queueing->count, 0);
+  const obs::HistogramSummary* page_turn =
+      snap.FindHistogram("browser.visual.page_turn_us");
+  ASSERT_NE(page_turn, nullptr);
+  EXPECT_GT(page_turn->count, 0);
 }
 
 TEST(StatsSnapshotTest, WriteSnapshotJsonRoundTripsThroughDisk) {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  reg.Reset();
+  obs::MetricsRegistry reg;
   reg.counter("demo.events")->Increment(3);
+  reg.gauge("demo.depth")->Set(2.5);
   reg.histogram("demo.latency_us")->Record(12.0);
 
   const std::string path = testing::TempDir() + "/snapshot_test.json";
-  obs::SnapshotMeta meta{"disk_round_trip", 77};
+  obs::SnapshotMeta meta{"disk \"round\" trip", 77, 4};
   ASSERT_TRUE(obs::WriteSnapshotJson(reg, path, meta).ok());
 
   std::ifstream in(path, std::ios::binary);
   ASSERT_TRUE(in.good());
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  const std::string json = buffer.str();
-  ASSERT_TRUE(obs::ValidateSnapshotJson(json).ok())
-      << obs::ValidateSnapshotJson(json).ToString();
-  auto parsed = obs::ParseJson(json);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->Get("bench").string(), "disk_round_trip");
-  EXPECT_EQ(parsed->Get("sim_time_us").number(), 77.0);
-  EXPECT_EQ(parsed->Get("counters").Get("demo.events").number(), 3.0);
-  EXPECT_EQ(
-      parsed->Get("histograms").Get("demo.latency_us").Get("count").number(),
-      1.0);
+  // The whole file: header, the three sections and the full histogram
+  // summary, one document and a newline.
+  EXPECT_EQ(buffer.str(),
+            R"({"schema":"minos.metrics.v1","bench":"disk \"round\" trip",)"
+            R"("sim_time_us":77,"workers":4,"counters":{"demo.events":3},)"
+            R"("gauges":{"demo.depth":2.5},"histograms":{"demo.latency_us":)"
+            R"({"count":1,"sum":12,"min":12,"max":12,"mean":12,"p50":12,)"
+            R"("p90":12,"p99":12}}})"
+            "\n");
   std::remove(path.c_str());
-}
-
-TEST(StatsSnapshotTest, CsvExportListsEveryMetric) {
-  obs::MetricsRegistry reg;
-  reg.counter("a.hits")->Increment(2);
-  reg.gauge("b.depth")->Set(1.0);
-  reg.histogram("c.lat_us")->Record(5.0);
-  const std::string csv = obs::SnapshotToCsv(reg.Snapshot());
-  EXPECT_NE(csv.find("counter,a.hits,value,2"), std::string::npos) << csv;
-  EXPECT_NE(csv.find("gauge,b.depth,value,1"), std::string::npos) << csv;
-  EXPECT_NE(csv.find("histogram,c.lat_us,count,1"), std::string::npos)
-      << csv;
-}
-
-TEST(StatsSnapshotTest, ValidatorRejectsMalformedDocuments) {
-  EXPECT_FALSE(obs::ValidateSnapshotJson("not json").ok());
-  EXPECT_FALSE(obs::ValidateSnapshotJson("{}").ok());
-  EXPECT_FALSE(
-      obs::ValidateSnapshotJson(
-          R"({"schema":"wrong.v0","bench":"x","sim_time_us":0,)"
-          R"("counters":{},"gauges":{},"histograms":{}})")
-          .ok());
-  // Histogram missing its percentile fields.
-  EXPECT_FALSE(
-      obs::ValidateSnapshotJson(
-          R"({"schema":"minos.metrics.v1","bench":"x","sim_time_us":0,)"
-          R"("counters":{},"gauges":{},"histograms":{"h":{"count":1}}})")
-          .ok());
-  EXPECT_TRUE(
-      obs::ValidateSnapshotJson(
-          R"({"schema":"minos.metrics.v1","bench":"x","sim_time_us":0,)"
-          R"("counters":{},"gauges":{},"histograms":{}})")
-          .ok());
 }
 
 }  // namespace

@@ -48,17 +48,6 @@ TEST(TaskPoolTest, ParallelEpochAdvancesByMaxCost) {
   EXPECT_EQ(clock.Now(), 1070);  // Base + the slowest branch.
 }
 
-TEST(TaskPoolTest, SerialEpochSumsCosts) {
-  SimClock clock;
-  TaskPool pool(&clock, 2);
-  std::vector<TaskPool::Task> tasks;
-  for (Micros cost : {5, 11, 7}) {
-    tasks.push_back([&clock, cost] { clock.Sleep(cost); });
-  }
-  pool.RunEpoch(std::move(tasks), TaskPool::TimeModel::kSerial);
-  EXPECT_EQ(clock.Now(), 23);
-}
-
 TEST(TaskPoolTest, TaskFramesIsolateAndRewindsClampToFrameStart) {
   SimClock clock(500);
   TaskPool pool(&clock, 2);

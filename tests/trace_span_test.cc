@@ -116,19 +116,16 @@ TEST(TraceSpanTest, JsonRoundTrip) {
     inner.End();
     clock.Advance(1);
   }
-  const std::string json = tracer.ToJson();
-  auto parsed = Tracer::FromJson(json);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ASSERT_EQ(parsed->size(), tracer.spans().size());
-  for (size_t i = 0; i < parsed->size(); ++i) {
-    const SpanRecord& a = tracer.spans()[i];
-    const SpanRecord& b = (*parsed)[i];
-    EXPECT_EQ(a.name, b.name);
-    EXPECT_EQ(a.start_us, b.start_us);
-    EXPECT_EQ(a.end_us, b.end_us);
-    EXPECT_EQ(a.depth, b.depth);
-    EXPECT_EQ(a.parent, b.parent);
-  }
+  // Every field of every record, in start order, with the quotes in the
+  // name escaped.
+  EXPECT_EQ(tracer.ToJson(),
+            R"({"schema":"minos.trace.v1","dropped_spans":0,"spans":[)"
+            R"({"name":"open \"quoted\"","trace_id":1,"span_id":1,)"
+            R"("parent_span_id":0,"start_us":7,"end_us":21,"depth":0,)"
+            R"("parent":-1},)"
+            R"({"name":"enter","trace_id":1,"span_id":2,)"
+            R"("parent_span_id":1,"start_us":18,"end_us":20,"depth":1,)"
+            R"("parent":0}]})");
 }
 
 TEST(TraceSpanTest, NullClockReadsZero) {
@@ -197,16 +194,22 @@ TEST(TraceSpanTest, RingBufferEvictsOldestAndCountsDrops) {
   ASSERT_EQ(ordered.size(), 4u);
   EXPECT_EQ(ordered.front().name, "s3");
   EXPECT_EQ(ordered.back().name, "s6");
-  // ToJson serializes the wrapped buffer in the same order, and the
-  // round trip through FromJson preserves it.
-  auto parsed = Tracer::FromJson(tracer.ToJson());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ASSERT_EQ(parsed->size(), 4u);
-  for (size_t i = 0; i < parsed->size(); ++i) {
-    EXPECT_EQ((*parsed)[i].name, ordered[i].name);
-    EXPECT_EQ((*parsed)[i].span_id, ordered[i].span_id);
-    EXPECT_EQ((*parsed)[i].start_us, ordered[i].start_us);
-  }
+  // ToJson serializes the wrapped buffer in the same order and reports
+  // the drops in its header.
+  EXPECT_EQ(tracer.ToJson(),
+            R"({"schema":"minos.trace.v1","dropped_spans":3,"spans":[)"
+            R"({"name":"s3","trace_id":4,"span_id":4,"parent_span_id":0,)"
+            R"("start_us":3,"end_us":4,"depth":0,"parent":-1,)"
+            R"("tags":{"%id":"3"}},)"
+            R"({"name":"s4","trace_id":5,"span_id":5,"parent_span_id":0,)"
+            R"("start_us":4,"end_us":5,"depth":0,"parent":-1,)"
+            R"("tags":{"%id":"4"}},)"
+            R"({"name":"s5","trace_id":6,"span_id":6,"parent_span_id":0,)"
+            R"("start_us":5,"end_us":6,"depth":0,"parent":-1,)"
+            R"("tags":{"%id":"5"}},)"
+            R"({"name":"s6","trace_id":7,"span_id":7,"parent_span_id":0,)"
+            R"("start_us":6,"end_us":7,"depth":0,"parent":-1,)"
+            R"("tags":{"%id":"6"}}]})");
 }
 
 TEST(TraceSpanTest, RingEvictionMakesStaleHandlesInert) {
@@ -363,41 +366,6 @@ TEST(TraceSpanTest, MetricCardinalityBoundedAcrossObjectIds) {
   EXPECT_EQ(*tag, "1");
 }
 
-TEST(TraceSpanTest, KeepsSlowestRootTracesAsExemplars) {
-  SimClock clock;
-  Tracer tracer(&clock);
-  tracer.set_exemplar_capacity(2);
-  for (Micros d : {10, 50, 30, 40}) {
-    TraceSpan root = tracer.StartSpan("req");
-    TraceSpan child = tracer.StartSpan("work");
-    clock.Advance(d);
-    child.End();
-    root.End();
-  }
-  ASSERT_EQ(tracer.exemplars().size(), 2u);
-  EXPECT_EQ(tracer.exemplars()[0].duration_us, 50);
-  EXPECT_EQ(tracer.exemplars()[1].duration_us, 40);
-  // An exemplar snapshots the whole trace, not just the root.
-  EXPECT_EQ(tracer.exemplars()[0].spans.size(), 2u);
-  EXPECT_EQ(tracer.exemplars()[0].root_name, "req");
-}
-
-TEST(TraceSpanTest, ChromeTraceEmitsCompleteEvents) {
-  SimClock clock(50);
-  Tracer tracer(&clock);
-  {
-    TraceSpan span = tracer.StartSpan("fetch");
-    span.AddTag("shard", static_cast<int64_t>(3));
-    clock.Advance(25);
-  }
-  const std::string chrome = tracer.ToChromeTrace();
-  EXPECT_NE(chrome.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(chrome.find("\"name\":\"fetch\""), std::string::npos);
-  EXPECT_NE(chrome.find("\"ts\":50"), std::string::npos);
-  EXPECT_NE(chrome.find("\"dur\":25"), std::string::npos);
-  EXPECT_NE(chrome.find("\"shard\":\"3\""), std::string::npos);
-}
-
 TEST(TraceSpanTest, ToJsonCarriesMetaHeader) {
   SimClock clock;
   Tracer tracer(&clock);
@@ -416,39 +384,6 @@ TEST(TraceSpanTest, ToJsonCarriesMetaHeader) {
   EXPECT_NE(json.find("\"dropped_spans\":0"), std::string::npos);
 }
 
-TEST(TraceSpanTest, FromJsonRejectsMalformedDocuments) {
-  // None of these may crash; all must return a Status.
-  EXPECT_FALSE(Tracer::FromJson("").ok());
-  EXPECT_FALSE(Tracer::FromJson("{").ok());
-  EXPECT_FALSE(Tracer::FromJson("[]").ok());
-  EXPECT_FALSE(Tracer::FromJson("42").ok());
-  // Wrong or missing schema tag.
-  EXPECT_FALSE(
-      Tracer::FromJson("{\"schema\":\"minos.metrics.v1\",\"spans\":[]}")
-          .ok());
-  EXPECT_FALSE(Tracer::FromJson("{\"spans\":[]}").ok());
-  // Missing or malformed spans.
-  EXPECT_FALSE(Tracer::FromJson("{\"schema\":\"minos.trace.v1\"}").ok());
-  EXPECT_FALSE(
-      Tracer::FromJson("{\"schema\":\"minos.trace.v1\",\"spans\":[7]}")
-          .ok());
-  EXPECT_FALSE(Tracer::FromJson("{\"schema\":\"minos.trace.v1\","
-                                "\"spans\":[{\"name\":7}]}")
-                   .ok());
-  EXPECT_FALSE(Tracer::FromJson("{\"schema\":\"minos.trace.v1\","
-                                "\"spans\":[{\"name\":\"a\","
-                                "\"start_us\":\"late\"}]}")
-                   .ok());
-  EXPECT_FALSE(Tracer::FromJson("{\"schema\":\"minos.trace.v1\","
-                                "\"spans\":[{\"name\":\"a\","
-                                "\"tags\":[1,2]}]}")
-                   .ok());
-  EXPECT_FALSE(Tracer::FromJson("{\"schema\":\"minos.trace.v1\","
-                                "\"spans\":[{\"name\":\"a\","
-                                "\"tags\":{\"k\":7}}]}")
-                   .ok());
-}
-
 TEST(TraceSpanTest, FromJsonRoundTripsTagsAndEscapes) {
   SimClock clock;
   Tracer tracer(&clock);
@@ -456,16 +391,22 @@ TEST(TraceSpanTest, FromJsonRoundTripsTagsAndEscapes) {
     TraceSpan span = tracer.StartSpan("fetch \"q\" \\ path");
     span.AddTag("outcome", "ok \"quoted\"");
     span.AddTag("shard", static_cast<int64_t>(2));
+    span.AddTag("dir\\key", "a\\b");
     clock.Advance(4);
+    // An explicit child carries its parent's trace and span ids.
+    TraceSpan child = tracer.StartSpan("io", span.context());
+    clock.Advance(1);
   }
-  auto parsed = Tracer::FromJson(tracer.ToJson());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ASSERT_EQ(parsed->size(), 1u);
-  EXPECT_EQ((*parsed)[0].name, "fetch \"q\" \\ path");
-  ASSERT_EQ((*parsed)[0].tags.size(), 2u);
-  const std::string* outcome = (*parsed)[0].FindTag("outcome");
-  ASSERT_NE(outcome, nullptr);
-  EXPECT_EQ(*outcome, "ok \"quoted\"");
+  // Quotes and backslashes are escaped in names, tag keys and values;
+  // tags keep their insertion order.
+  EXPECT_EQ(tracer.ToJson(),
+            R"({"schema":"minos.trace.v1","dropped_spans":0,"spans":[)"
+            R"({"name":"fetch \"q\" \\ path","trace_id":1,"span_id":1,)"
+            R"("parent_span_id":0,"start_us":0,"end_us":5,"depth":0,)"
+            R"("parent":-1,"tags":{"outcome":"ok \"quoted\"","shard":"2",)"
+            R"("dir\\key":"a\\b"}},)"
+            R"({"name":"io","trace_id":1,"span_id":2,"parent_span_id":1,)"
+            R"("start_us":4,"end_us":5,"depth":1,"parent":-1}]})");
 }
 
 }  // namespace

@@ -7,16 +7,18 @@ Usage:
     check_stats_schema.py --require-faults BENCH_fault_sweep.json
 
 Dispatches on the document's "schema" tag. For minos.metrics.v1
-(BENCH_*.json) it checks the contract that
-`minos::obs::ValidateSnapshotJson` enforces in C++: schema tag, bench
-string, numeric sim_time_us, a numeric workers dimension >= 1 (every
-bench stamps the worker count of its task pool; a snapshot without it
-predates the multi-core runtime and fails), the three metric sections,
-numeric values throughout, and the full
-count/sum/min/max/mean/p50/p90/p99 field set on every histogram. For minos.trace.v1 (TRACE_*.json, emitted by
-`minos::obs::Tracer::ToJson`) it checks the span-list contract: string
-names, integer ids and times, end >= start, string-to-string tags, and
-every nonzero parent_span_id resolving inside its own trace.
+(BENCH_*.json, emitted by `minos::obs::SnapshotToJson`) it checks the
+schema tag, bench string, a numeric sim_time_us > 0 (a run that never
+advanced its SimClock measured nothing), a numeric workers dimension
+>= 1 (every bench stamps the worker count of its task pool; a snapshot
+without it predates the multi-core runtime and fails), the three metric
+sections, numeric values throughout, and the full
+count/sum/min/max/mean/p50/p90/p99 field set on every histogram. For
+minos.trace.v1 (TRACE_*.json, emitted by `minos::obs::Tracer::ToJson`)
+it checks the span-list contract: string names, integer ids and times,
+end >= start, string-to-string tags, and every nonzero parent_span_id
+resolving inside its own trace. A file that cannot be read, is not
+UTF-8 or is not JSON fails, and the files after it are still checked.
 
 With --require-pipeline, additionally requires the metric families a
 full presentation-pipeline run produces (block cache, link, scheduler,
@@ -269,6 +271,10 @@ def validate(doc, require_pipeline=False, require_faults=False,
         problems.append("missing string field 'bench'")
     if not _is_number(doc.get("sim_time_us")):
         problems.append("missing numeric field 'sim_time_us'")
+    elif doc["sim_time_us"] <= 0:
+        problems.append(
+            f"field 'sim_time_us' is {doc['sim_time_us']}, expected > 0"
+        )
     if not _is_number(doc.get("workers")):
         problems.append("missing numeric field 'workers'")
     elif doc["workers"] < 1:
@@ -455,7 +461,7 @@ def main(argv):
         try:
             with open(path, "r", encoding="utf-8") as f:
                 doc = json.load(f)
-        except (OSError, json.JSONDecodeError) as err:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
             print(f"{path}: FAIL: {err}")
             failed = True
             continue

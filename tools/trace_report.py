@@ -94,7 +94,7 @@ def load(path):
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         return None, [str(err)]
     problems = []
     if not isinstance(doc, dict):
@@ -242,7 +242,7 @@ def diff_baseline(path, bench, exclusive, total, regression, floor_us):
             base = json.load(f)
     except OSError:
         return [f"no committed baseline at {path} (run --write-baseline)"]
-    except json.JSONDecodeError as err:
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
         return [f"unreadable baseline {path}: {err}"]
     if not isinstance(base, dict) or base.get("schema") != BASELINE_SCHEMA:
         return [f"baseline {path} schema tag is not '{BASELINE_SCHEMA}'"]
@@ -382,21 +382,35 @@ def report(doc, path, top, check, tolerance, baseline_dir=None,
 
 
 def chrome_events(doc):
-    """minos.trace.v1 spans -> Chrome/Perfetto complete (ph:"X") events."""
+    """minos.trace.v1 spans -> Chrome/Perfetto complete (ph:"X") events.
+
+    Each trace renders as its own track (tid), so overlapping scatter and
+    prefetch work sits side by side; args carry the span's ids (as
+    strings) and then its tags.
+    """
     tids = {}
     events = []
     for span in doc["spans"]:
         tid = tids.setdefault(span["trace_id"], len(tids) + 1)
+        args = {
+            "trace_id": str(span["trace_id"]),
+            "span_id": str(span["span_id"]),
+            "parent_span_id": str(span["parent_span_id"]),
+        }
+        tags = span.get("tags", {})
+        if isinstance(tags, dict):
+            args.update(tags)
         events.append({
             "name": span["name"],
+            "cat": "minos",
             "ph": "X",
             "ts": span["start_us"],
             "dur": span["end_us"] - span["start_us"],
             "pid": 1,
             "tid": tid,
-            "args": span.get("tags", {}),
+            "args": args,
         })
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
+    return {"displayTimeUnit": "ms", "traceEvents": events}
 
 
 def main(argv):
@@ -471,6 +485,7 @@ def main(argv):
             if not problems and args.chrome:
                 with open(args.chrome, "w", encoding="utf-8") as f:
                     json.dump(chrome_events(doc), f)
+                    f.write("\n")
                 print(f"  chrome trace: {args.chrome}")
         if problems:
             failed = True
