@@ -424,7 +424,9 @@ int Run() {
           // bounds their spread.
           const size_t pick =
               (rng.Uniform(kVocab) * rng.Uniform(kVocab)) / kVocab;
-          content.text += "w" + std::to_string(pick) + " ";
+          content.text += 'w';
+          content.text += std::to_string(pick);
+          content.text += ' ';
         }
         index->Append(id, content, 0.0);
       }

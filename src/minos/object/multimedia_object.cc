@@ -149,6 +149,12 @@ Status MultimediaObject::ValidateDescriptor() const {
   return Status::OK();
 }
 
+MultimediaObject MultimediaObject::TakeForEdit() && {
+  MultimediaObject next = std::move(*this);
+  next.state_ = ObjectState::kEditing;
+  return next;
+}
+
 Status MultimediaObject::Archive() {
   MINOS_RETURN_IF_ERROR(CheckEditable());
   MINOS_RETURN_IF_ERROR(ValidateDescriptor());

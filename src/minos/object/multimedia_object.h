@@ -54,6 +54,11 @@ class MultimediaObject {
   bool has_voice() const { return voice_.has_value(); }
   const text::Document& text_part() const { return *text_; }
   const voice::VoiceDocument& voice_part() const { return *voice_; }
+
+  /// The text / voice part to extend in place; null when the part is
+  /// absent or the object is archived.
+  text::Document* mutable_text_part() { return Editable(text_); }
+  voice::VoiceDocument* mutable_voice_part() { return Editable(voice_); }
   const std::vector<image::Image>& images() const { return images_; }
 
   /// Descriptor -----------------------------------------------------------
@@ -63,6 +68,12 @@ class MultimediaObject {
   const ObjectDescriptor& descriptor() const { return descriptor_; }
 
   /// State transition -------------------------------------------------------
+
+  /// Reopens a decoded archived object as the editing-state start of
+  /// its successor version, moving every part and the descriptor (no
+  /// component is copied). The archived image itself stays immutable
+  /// (§2): the successor archives as a new version.
+  MultimediaObject TakeForEdit() &&;
 
   /// Validates the descriptor against the parts (image indices, anchor
   /// bounds, page ranges) and freezes the object. InvalidArgument with a
@@ -99,6 +110,10 @@ class MultimediaObject {
       storage::ObjectId id, std::string_view bytes,
       PartSalvageReport* report);
   Status CheckEditable() const;
+  template <typename Part>
+  Part* Editable(std::optional<Part>& part) {
+    return state_ == ObjectState::kEditing && part ? &*part : nullptr;
+  }
   Status ValidateDescriptor() const;
 
   storage::ObjectId id_;

@@ -41,19 +41,25 @@ std::string SnapshotToJson(const MetricsSnapshot& snapshot,
   out += ",\"counters\":{";
   for (size_t i = 0; i < snapshot.counters.size(); ++i) {
     if (i > 0) out += ",";
-    out += "\"" + JsonEscape(snapshot.counters[i].first) +
-           "\":" + std::to_string(snapshot.counters[i].second);
+    out += '"';
+    out += JsonEscape(snapshot.counters[i].first);
+    out += "\":";
+    out += std::to_string(snapshot.counters[i].second);
   }
   out += "},\"gauges\":{";
   for (size_t i = 0; i < snapshot.gauges.size(); ++i) {
     if (i > 0) out += ",";
-    out += "\"" + JsonEscape(snapshot.gauges[i].first) +
-           "\":" + JsonNumber(snapshot.gauges[i].second);
+    out += '"';
+    out += JsonEscape(snapshot.gauges[i].first);
+    out += "\":";
+    out += JsonNumber(snapshot.gauges[i].second);
   }
   out += "},\"histograms\":{";
   for (size_t i = 0; i < snapshot.histograms.size(); ++i) {
     if (i > 0) out += ",";
-    out += "\"" + JsonEscape(snapshot.histograms[i].name) + "\":";
+    out += '"';
+    out += JsonEscape(snapshot.histograms[i].name);
+    out += "\":";
     AppendHistogramJson(snapshot.histograms[i], &out);
   }
   out += "}}";

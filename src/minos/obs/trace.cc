@@ -388,8 +388,11 @@ std::string Tracer::ToJson(const TraceMeta& meta) const {
       out += ",\"tags\":{";
       for (size_t i = 0; i < s.tags.size(); ++i) {
         if (i > 0) out += ",";
-        out += "\"" + JsonEscape(s.tags[i].first) + "\":\"" +
-               JsonEscape(s.tags[i].second) + "\"";
+        out += '"';
+        out += JsonEscape(s.tags[i].first);
+        out += "\":\"";
+        out += JsonEscape(s.tags[i].second);
+        out += '"';
       }
       out += "}";
     }

@@ -14,41 +14,93 @@ double VoiceConfidence(const voice::RecognizerParams& profile) {
   return std::clamp(confidence, 0.0, 1.0);
 }
 
-void ScoredIndex::AddTerm(storage::ObjectId id, const std::string& term,
-                          double text_weight, double voice_weight,
-                          std::vector<std::string>* new_terms) {
-  if (term.empty()) return;
-  TermEntry& entry = terms_[term];
-  if (!stats_only_) {
-    TermPosting& posting = entry.postings[id];
-    posting.text_tf += text_weight;
-    posting.voice_tf += voice_weight;
-    entry.max_tf = std::max(entry.max_tf, posting.tf());
-  }
-  std::vector<std::string>& terms = doc_terms_[id];
-  if (std::find(terms.begin(), terms.end(), term) == terms.end()) {
-    terms.push_back(term);
-    ++entry.df;
-    if (new_terms != nullptr) new_terms->push_back(term);
-  }
-  lengths_[id] += text_weight + voice_weight;
-  stats_.total_length += text_weight + voice_weight;
-}
+/// Folds one Add or Append call's term occurrences into document `id`.
+/// Each distinct term is resolved once — one term-table probe, one
+/// posting insert (end-hinted: new ids are usually the largest), one
+/// holder check — and its repeats reuse the resolved entry and posting.
+/// Every tf and length addition still happens once per occurrence, in
+/// occurrence order, so each sum is bit-identical to folding the
+/// occurrences one at a time.
+class ScoredIndex::TermFold {
+ public:
+  /// Terms `id` newly holds are appended to `new_terms` when non-null.
+  TermFold(ScoredIndex* index, storage::ObjectId id,
+           std::vector<std::string>* new_terms)
+      : index_(*index),
+        id_(id),
+        length_(index->lengths_[id]),
+        doc_terms_(index->doc_terms_[id]),
+        fresh_doc_(doc_terms_.empty()),
+        new_terms_(new_terms) {}
 
-void ScoredIndex::FloorHolderLengths(storage::ObjectId id,
-                                     const std::vector<std::string>& terms) {
-  if (stats_only_) return;
-  // Snapshot the document's length as of the end of this indexing
-  // operation. The document can only grow from here (Append never
-  // shrinks), so the floor stays valid without ever being revisited.
-  const double len = lengths_[id];
-  for (const std::string& term : terms) {
-    TermEntry& entry = terms_.find(term)->second;
-    // `id` is a new holder of each of `terms`: when it is the only one,
-    // its length is the floor.
-    entry.min_len = entry.df == 1 ? len : std::min(entry.min_len, len);
+  void Add(std::string term, double text_weight, double voice_weight) {
+    if (term.empty()) return;
+    auto it = seen_.find(term);
+    if (it == seen_.end()) it = Resolve(std::move(term));
+    if (TermPosting* posting = it->second.posting) {
+      posting->text_tf += text_weight;
+      posting->voice_tf += voice_weight;
+      it->second.entry->max_tf =
+          std::max(it->second.entry->max_tf, posting->tf());
+    }
+    length_ += text_weight + voice_weight;
+    index_.stats_.total_length += text_weight + voice_weight;
   }
-}
+
+  /// Lowers the holder-length floor of every term `id` newly holds to
+  /// its end-of-call length where that is smaller. The document only
+  /// grows from here (Append never shrinks), so the floor stays valid
+  /// without being revisited; for terms it already held, the floors
+  /// stay conservative as it grows.
+  void FloorHolderLengths() {
+    if (index_.stats_only_) return;
+    for (const auto& [term, slot] : seen_) {
+      if (!slot.fresh) continue;
+      // When `id` is the only holder, its length is the floor.
+      slot.entry->min_len = slot.entry->df == 1
+                                ? length_
+                                : std::min(slot.entry->min_len, length_);
+    }
+  }
+
+ private:
+  struct Slot {
+    TermEntry* entry;
+    TermPosting* posting;  ///< Null in a stats-only index.
+    bool fresh;            ///< `id` became a holder in this call.
+  };
+  /// Keyed by views of the term table's own keys, which never move.
+  using SlotMap = std::unordered_map<std::string_view, Slot>;
+
+  SlotMap::iterator Resolve(std::string term) {
+    const auto entry_it = index_.terms_.try_emplace(std::move(term)).first;
+    TermEntry& entry = entry_it->second;
+    Slot slot{&entry, nullptr, fresh_doc_};
+    if (!index_.stats_only_) {
+      const size_t holders = entry.postings.size();
+      slot.posting =
+          &entry.postings.try_emplace(entry.postings.end(), id_)->second;
+      slot.fresh = entry.postings.size() > holders;
+    } else if (!fresh_doc_) {
+      slot.fresh = std::find(doc_terms_.begin(), doc_terms_.end(),
+                             entry_it->first) == doc_terms_.end();
+    }
+    if (slot.fresh) {
+      doc_terms_.push_back(entry_it->first);
+      ++entry.df;
+      if (new_terms_ != nullptr) new_terms_->push_back(entry_it->first);
+    }
+    return seen_.emplace(entry_it->first, slot).first;
+  }
+
+  ScoredIndex& index_;
+  const storage::ObjectId id_;
+  double& length_;
+  std::vector<std::string>& doc_terms_;
+  const bool fresh_doc_;  ///< `id` held no term: every term is new.
+  std::vector<std::string>* new_terms_;
+  SlotMap seen_;
+};
 
 void ScoredIndex::Add(const object::MultimediaObject& obj,
                       double voice_confidence) {
@@ -58,22 +110,23 @@ void ScoredIndex::Add(const object::MultimediaObject& obj,
   ++stats_.doc_count;
   lengths_[id] = 0;
   doc_terms_[id] = {};
+  TermFold fold(this, id, nullptr);
   if (obj.has_text()) {
     for (const std::string& w : SplitWords(obj.text_part().contents())) {
-      AddTerm(id, FoldWord(w), 1.0, 0.0);
+      fold.Add(FoldWord(w), 1.0, 0.0);
     }
   }
   for (const auto& [name, value] : obj.attributes()) {
     for (const std::string& w : SplitWords(value)) {
-      AddTerm(id, FoldWord(w), 1.0, 0.0);
+      fold.Add(FoldWord(w), 1.0, 0.0);
     }
   }
   if (obj.has_voice()) {
     for (const voice::WordAlignment& w : obj.voice_part().track().words) {
-      AddTerm(id, FoldWord(w.word), 0.0, voice_confidence);
+      fold.Add(FoldWord(w.word), 0.0, voice_confidence);
     }
   }
-  FloorHolderLengths(id, doc_terms_[id]);
+  fold.FloorHolderLengths();
 }
 
 IndexDelta ScoredIndex::Append(storage::ObjectId id,
@@ -89,17 +142,15 @@ IndexDelta ScoredIndex::Append(storage::ObjectId id,
     delta.new_doc = true;
   }
   const double length_before = lengths_[id];
+  TermFold fold(this, id, &delta.new_terms);
   for (const std::string& w : SplitWords(content.text)) {
-    AddTerm(id, FoldWord(w), 1.0, 0.0, &delta.new_terms);
+    fold.Add(FoldWord(w), 1.0, 0.0);
   }
   for (const voice::WordAlignment& w : content.voice_words) {
-    AddTerm(id, FoldWord(w.word), 0.0, voice_confidence, &delta.new_terms);
+    fold.Add(FoldWord(w.word), 0.0, voice_confidence);
   }
   delta.length_delta = lengths_[id] - length_before;
-  // Only terms this append made the document a NEW holder of can lower
-  // a holder-length floor; for terms it already held, the floors stay
-  // conservative as the document grows.
-  FloorHolderLengths(id, delta.new_terms);
+  fold.FloorHolderLengths();
   return delta;
 }
 

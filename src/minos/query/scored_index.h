@@ -6,6 +6,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "minos/object/multimedia_object.h"
@@ -173,26 +174,27 @@ class ScoredIndex {
     PostingMap postings;
   };
 
+  /// Hashes terms and the string_views they are probed with alike.
+  struct TermHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view term) const {
+      return std::hash<std::string_view>{}(term);
+    }
+  };
+
   /// The term's entry; an empty one (all zero) when absent.
   const TermEntry& Entry(std::string_view term) const;
 
-  /// Folds one term occurrence into `id`. When `new_terms` is non-null,
-  /// terms the object did not contain before are appended to it (the
-  /// delta an incremental Append reports).
-  void AddTerm(storage::ObjectId id, const std::string& term,
-               double text_weight, double voice_weight,
-               std::vector<std::string>* new_terms = nullptr);
-
-  /// Lowers the holder-length floor of each of `terms` to `id`'s
-  /// current (end-of-operation) length where that is smaller.
-  void FloorHolderLengths(storage::ObjectId id,
-                          const std::vector<std::string>& terms);
+  /// One Add or Append call's folding of a document's occurrences.
+  class TermFold;
 
   bool stats_only_;
   std::atomic<uint64_t> version_{0};
   CorpusStats stats_;
-  /// One entry per term with df > 0.
-  std::map<std::string, TermEntry, std::less<>> terms_;
+  /// One entry per term with df > 0. Hashed: nothing iterates it in
+  /// order, and entries (with their posting maps) never move.
+  std::unordered_map<std::string, TermEntry, TermHash, std::equal_to<>>
+      terms_;
   std::map<storage::ObjectId, double> lengths_;
   /// Distinct terms per object — what Remove must unwind.
   std::map<storage::ObjectId, std::vector<std::string>> doc_terms_;

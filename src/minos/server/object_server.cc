@@ -28,15 +28,15 @@ StatusOr<ArchiveAddress> ObjectServer::Store(const MultimediaObject& obj) {
   MINOS_ASSIGN_OR_RETURN(ArchiveAddress addr, archiver_->Append(bytes));
   MINOS_RETURN_IF_ERROR(archiver_->Flush());
   const uint32_t version = versions_->Record(obj.id(), addr, clock_->Now());
-  MINOS_RETURN_IF_ERROR(CatalogObject(obj, bytes, addr, version,
-                                      Crc32(bytes), /*reindex=*/true));
+  MINOS_RETURN_IF_ERROR(
+      CatalogObject(obj.id(), bytes, addr, version, Crc32(bytes), &obj));
   return addr;
 }
 
-Status ObjectServer::CatalogObject(const MultimediaObject& obj,
-                                   const std::string& bytes,
+Status ObjectServer::CatalogObject(ObjectId id, const std::string& bytes,
                                    ArchiveAddress addr, uint32_t version,
-                                   uint32_t content_crc, bool reindex) {
+                                   uint32_t content_crc,
+                                   const MultimediaObject* reindex) {
   // Catalog: the serialized descriptor (its parts carry composition
   // offsets) plus the payload base within the object bytes.
   Decoder dec(bytes);
@@ -54,9 +54,9 @@ Status ObjectServer::CatalogObject(const MultimediaObject& obj,
   entry.payload_base = bytes.size() - data_len;
   entry.version = version;
   entry.content_crc = content_crc;
-  catalog_[obj.id()] = std::move(entry);
+  catalog_[id] = std::move(entry);
 
-  if (reindex) {
+  if (reindex != nullptr) {
     // Content index: text words, attribute values, and the words the
     // voice recognizer produced at insertion time (we index the
     // spoken-word ground truth; a limited-vocabulary deployment would
@@ -65,100 +65,75 @@ Status ObjectServer::CatalogObject(const MultimediaObject& obj,
     // profile's confidence. Built here — at insertion time — so browsing
     // never pays recognition or indexing cost. Re-adding an id replaces
     // its previous version's terms.
-    scored_index_.Add(obj, query::VoiceConfidence(recognizer_profile_));
+    scored_index_.Add(*reindex,
+                      query::VoiceConfidence(recognizer_profile_));
   }
   ++catalog_version_;
   return Status::OK();
 }
 
 StatusOr<ObjectServer::AppendResult> ObjectServer::Append(
-    ObjectId id, const AppendParts& parts) {
+    ObjectId id, const AppendParts& parts, SharedSuccessor* shared) {
   const bool voice_appended =
       !parts.voice.words.empty() || !parts.voice.pcm.empty();
   if (parts.text.empty() && !voice_appended) {
     return Status::InvalidArgument("append carries no content");
   }
   MINOS_ASSIGN_OR_RETURN(const CatalogEntry* entry, Lookup(id));
+  // A record filled from a prior with this catalog identity may stand
+  // in for this replica's successor; the read below checks the bytes.
+  PriorCheck prior{entry->content_crc};
+  if (shared != nullptr && !shared->image.empty() &&
+      shared->prior_version == entry->version &&
+      shared->prior_crc == entry->content_crc) {
+    prior.reuse_size = shared->prior_size;
+  }
   // Materialize the current version server-side (no link charge).
   MINOS_ASSIGN_OR_RETURN(
       MultimediaObject current,
-      FetchAt(id, entry->address, /*over_link=*/false));
+      FetchAt(id, entry->address, /*over_link=*/false, 0, nullptr,
+              shared != nullptr ? &prior : nullptr));
 
-  // Archived objects are immutable (§2): the append builds the
-  // successor version as a fresh editing-state object — every prior
-  // part plus the new content — and archives it whole.
-  MultimediaObject next(id);
-  for (const auto& [name, value] : current.attributes()) {
-    MINOS_RETURN_IF_ERROR(next.SetAttribute(name, value));
-  }
-  const size_t text_base =
-      current.has_text() ? current.text_part().size() : 0;
-  if (current.has_text() || !parts.text.empty()) {
-    text::Document doc;
-    if (current.has_text()) {
-      const text::Document& old = current.text_part();
-      doc.AppendText(old.contents());
-      for (int u = 0; u < 8; ++u) {
-        const auto unit = static_cast<text::LogicalUnit>(u);
-        for (const text::LogicalComponent& c : old.Components(unit)) {
-          doc.AddComponentSpan(c);
-        }
-      }
-      for (const text::EmphasisSpan& e : old.emphasis()) {
-        doc.AddEmphasis(e);
-      }
-    }
+  // Archive from the record when this replica reused or filled it.
+  bool recorded = prior.reused;
+  std::string built;
+  if (!recorded) {
+    // Archived objects are immutable (§2): the append reopens the
+    // decoded prior — this call's private copy — as the successor's
+    // editing-state object, extends its parts in place, and archives it
+    // whole. SerializeArchived regenerates part pointers from the
+    // parts, so the descriptor carries over verbatim; its anchors stay
+    // in bounds because both media only grew.
+    const size_t text_base =
+        current.has_text() ? current.text_part().size() : 0;
+    MultimediaObject next = std::move(current).TakeForEdit();
     if (!parts.text.empty()) {
+      if (!next.has_text()) MINOS_RETURN_IF_ERROR(next.SetTextPart({}));
+      text::Document& doc = *next.mutable_text_part();
       const size_t at = doc.AppendText(parts.text);
       // The appended run reads as one new paragraph so logical browsing
       // and page formatting can reach it.
       doc.AddComponentSpan(text::LogicalComponent{
           text::LogicalUnit::kParagraph, {at, doc.size()}, ""});
     }
-    MINOS_RETURN_IF_ERROR(next.SetTextPart(std::move(doc)));
-  }
-  if (current.has_voice() || voice_appended) {
-    voice::VoiceTrack track;
-    size_t sample_base = 0;
-    if (current.has_voice()) {
-      track = current.voice_part().track();
-      sample_base = track.pcm.size();
-    } else {
-      track.pcm = voice::PcmBuffer(parts.voice.pcm.sample_rate());
-    }
-    track.pcm.Append(parts.voice.pcm.samples());
-    for (voice::WordAlignment w : parts.voice.words) {
-      w.text_offset += text_base;
-      w.samples.begin += sample_base;
-      w.samples.end += sample_base;
-      track.words.push_back(std::move(w));
-    }
-    for (voice::SilenceTruth s : parts.voice.silences) {
-      s.samples.begin += sample_base;
-      s.samples.end += sample_base;
-      track.silences.push_back(s);
-    }
-    voice::VoiceDocument vdoc(std::move(track));
-    if (current.has_voice()) {
-      const voice::VoiceDocument& old = current.voice_part();
-      for (int u = 0; u < 8; ++u) {
-        const auto unit = static_cast<text::LogicalUnit>(u);
-        for (const voice::VoiceComponent& c : old.Components(unit)) {
-          vdoc.TagComponent(c.unit, c.span, c.title);
-        }
+    if (next.has_voice() || voice_appended) {
+      if (!next.has_voice()) {
+        MINOS_RETURN_IF_ERROR(next.SetVoicePart(voice::VoiceDocument(
+            {voice::PcmBuffer(parts.voice.pcm.sample_rate()), {}, {}})));
       }
+      next.mutable_voice_part()->AppendTrack(parts.voice, text_base);
     }
-    MINOS_RETURN_IF_ERROR(next.SetVoicePart(std::move(vdoc)));
+    MINOS_RETURN_IF_ERROR(next.Archive());
+    MINOS_ASSIGN_OR_RETURN(built, next.SerializeArchived());
+    if (shared != nullptr && shared->image.empty() && prior.verified) {
+      // Built from a verified prior: the later replicas may share it.
+      *shared = SharedSuccessor{entry->version, entry->content_crc,
+                                prior.size, Crc32(built), std::move(built)};
+      recorded = true;
+    }
   }
-  for (const image::Image& img : current.images()) {
-    MINOS_RETURN_IF_ERROR(next.AddImage(img).status());
-  }
-  // SerializeArchived regenerates part pointers from the parts, so the
-  // prior descriptor carries over verbatim; its anchors stay in bounds
-  // because both media only grew.
-  next.descriptor() = current.descriptor();
-  MINOS_RETURN_IF_ERROR(next.Archive());
-  MINOS_ASSIGN_OR_RETURN(std::string bytes, next.SerializeArchived());
+  const std::string& bytes = recorded ? shared->image : built;
+  const uint32_t crc = recorded ? shared->crc : Crc32(bytes);
 
   // Device write FIRST. Nothing — catalog, version lineage, content
   // index, catalog_version_ — has been touched yet, so a write fault
@@ -168,8 +143,8 @@ StatusOr<ObjectServer::AppendResult> ObjectServer::Append(
   MINOS_RETURN_IF_ERROR(archiver_->Flush());
 
   const uint32_t version = versions_->Record(id, addr, clock_->Now());
-  MINOS_RETURN_IF_ERROR(CatalogObject(next, bytes, addr, version,
-                                      Crc32(bytes), /*reindex=*/false));
+  MINOS_RETURN_IF_ERROR(
+      CatalogObject(id, bytes, addr, version, crc, /*reindex=*/nullptr));
   // Incremental content indexing: only the appended words are walked —
   // the existing postings keep their weights untouched. The index hands
   // back the df/length delta the router's catalog-wide statistics apply
@@ -265,8 +240,8 @@ StatusOr<bool> ObjectServer::AcceptReplica(ObjectId id, uint32_t version,
     MINOS_RETURN_IF_ERROR(
         versions_->RecordAs(id, version, addr, clock_->Now()));
   }
-  MINOS_RETURN_IF_ERROR(
-      CatalogObject(obj, owned, addr, version, crc, reindex));
+  MINOS_RETURN_IF_ERROR(CatalogObject(id, owned, addr, version, crc,
+                                      reindex ? &obj : nullptr));
   obs::MetricsRegistry::Default()
       .counter("server.replicas_accepted")
       ->Increment();
@@ -410,7 +385,7 @@ StatusOr<std::string> ObjectServer::ReadAndDeliver(
 
 StatusOr<MultimediaObject> ObjectServer::FetchAt(
     ObjectId id, const storage::ArchiveAddress& address, bool over_link,
-    uint64_t transfer_discount, obs::TraceSpan* span) {
+    uint64_t transfer_discount, obs::TraceSpan* span, PriorCheck* prior) {
   const obs::TraceContext ctx =
       span != nullptr ? span->context() : obs::TraceContext{};
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
@@ -420,9 +395,19 @@ StatusOr<MultimediaObject> ObjectServer::FetchAt(
         MINOS_ASSIGN_OR_RETURN(
             std::string resolved,
             ReadAndDeliver(address, over_link, transfer_discount, ctx));
-        MINOS_ASSIGN_OR_RETURN(MultimediaObject obj,
-                               MultimediaObject::DeserializeArchived(
-                                   id, resolved));
+        if (prior != nullptr) {
+          prior->size = resolved.size();
+          prior->verified = Crc32(resolved) == prior->crc;
+          prior->reused =
+              prior->verified && resolved.size() == prior->reuse_size;
+        }
+        // Bytes proven identical to a recorded prior need no decode: the
+        // record's successor is this replica's too.
+        MultimediaObject obj(id);
+        if (prior == nullptr || !prior->reused) {
+          MINOS_ASSIGN_OR_RETURN(
+              obj, MultimediaObject::DeserializeArchived(id, resolved));
+        }
         reg.counter("server.fetches")->Increment();
         reg.histogram("server.fetch_bytes")
             ->Record(static_cast<double>(resolved.size()));
@@ -432,7 +417,9 @@ StatusOr<MultimediaObject> ObjectServer::FetchAt(
   if (got.ok() || !got.status().IsCorruption()) return got;
   // Persistent corruption survived every retry (bad media or a poisoned
   // cache block, not a wire glitch). Salvage the parts whose checksums
-  // still verify; the presentation manager degrades the rest.
+  // still verify; the presentation manager degrades the rest. A salvaged
+  // prior is never a shared successor's.
+  if (prior != nullptr) prior->verified = prior->reused = false;
   StatusOr<std::string> resolved =
       ReadAndDeliver(address, over_link, transfer_discount, ctx);
   if (!resolved.ok()) return got;

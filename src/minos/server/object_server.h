@@ -104,6 +104,23 @@ class ObjectServer : public ObjectStore {
     query::IndexDelta delta;
   };
 
+  /// The work one replicated Append shares across its replicas, alive
+  /// for a single call. The first replica whose read of its prior
+  /// hashes to its cataloged checksum leaves its successor image here,
+  /// with that prior's catalog identity. A later replica archives the
+  /// image without decoding or rebuilding only when it holds the same
+  /// cataloged image: equal (version, content checksum), and its own
+  /// read bytes of equal size hashing to its own checksum — the
+  /// identity anti-entropy's truth vote relies on. Otherwise it builds
+  /// its own successor.
+  struct SharedSuccessor {
+    uint32_t prior_version = 0;
+    uint32_t prior_crc = 0;
+    uint64_t prior_size = 0;
+    uint32_t crc = 0;   ///< CRC-32 of `image`.
+    std::string image;  ///< Empty until a replica fills the record.
+  };
+
   /// Appends content to an archived object. Archived objects are
   /// immutable (§2), so the append builds the successor version — the
   /// prior parts plus the new content — archives it whole, and records
@@ -117,9 +134,12 @@ class ObjectServer : public ObjectStore {
   /// *incrementally*: only the appended words are walked, never the
   /// whole object, and the returned delta carries the df/length changes
   /// global statistics need. Bumps catalog_version() so workstation
-  /// ranked-result caches invalidate.
+  /// ranked-result caches invalidate. Replicas of one Append pass the
+  /// same `shared` record (see SharedSuccessor); the archived bytes are
+  /// the same with or without it.
   StatusOr<AppendResult> Append(storage::ObjectId id,
-                                const AppendParts& parts);
+                                const AppendParts& parts,
+                                SharedSuccessor* shared = nullptr);
 
   /// The recognizer accuracy profile voice postings are confidence-
   /// weighted with at Store time (§2: recognition happens at insertion).
@@ -288,13 +308,13 @@ class ObjectServer : public ObjectStore {
   /// backoff window record spans under it.
   Status ChargeLink(uint64_t bytes, const obs::TraceContext& ctx);
 
-  /// Shared Store / AcceptReplica tail: parses the descriptor out of
-  /// the serialized bytes, installs the catalog entry and (when
-  /// `reindex` is set) feeds the content index.
-  Status CatalogObject(const object::MultimediaObject& obj,
-                       const std::string& bytes,
+  /// Shared Store / Append / AcceptReplica tail: parses the descriptor
+  /// out of the serialized bytes, installs the catalog entry and (when
+  /// `reindex` is non-null) feeds the content index with it.
+  Status CatalogObject(storage::ObjectId id, const std::string& bytes,
                        storage::ArchiveAddress addr, uint32_t version,
-                       uint32_t content_crc, bool reindex);
+                       uint32_t content_crc,
+                       const object::MultimediaObject* reindex);
 
   /// One delivery attempt: archive read, pointer resolution, link
   /// transfer (skipped when `over_link` is false — server-side reads),
@@ -306,16 +326,27 @@ class ObjectServer : public ObjectStore {
                                        uint64_t transfer_discount = 0,
                                        const obs::TraceContext& ctx = {});
 
+  /// What an Append's read of its prior learns for a SharedSuccessor.
+  struct PriorCheck {
+    uint32_t crc = 0;         ///< In: the cataloged checksum.
+    uint64_t reuse_size = 0;  ///< In: a matching record's prior size.
+    uint64_t size = 0;        ///< Out: the bytes read.
+    bool verified = false;    ///< Out: they hash to `crc`; never after
+                              ///< a salvage.
+    bool reused = false;      ///< Out: verified, of `reuse_size`; no
+                              ///< decode ran (the object is empty).
+  };
+
   /// Full object materialization with retry/backoff; on persistent
   /// corruption falls back to a lenient decode that drops unreadable
   /// voice/attribute parts (the degraded-presentation path).
   /// `span` (may be null) is the caller's span: its context parents the
   /// retry/backoff and transfer children, and a salvage fallback tags it
-  /// degraded=salvage.
+  /// degraded=salvage. `prior` (may be null) is checked by every attempt.
   StatusOr<object::MultimediaObject> FetchAt(
       storage::ObjectId id, const storage::ArchiveAddress& address,
       bool over_link, uint64_t transfer_discount = 0,
-      obs::TraceSpan* span = nullptr);
+      obs::TraceSpan* span = nullptr, PriorCheck* prior = nullptr);
 
   storage::Archiver* archiver_;
   storage::VersionStore* versions_;

@@ -254,13 +254,15 @@ StatusOr<uint32_t> ShardRouter::Append(ObjectId id,
   query::IndexDelta delta;
   bool have_delta = false;
   int copies = 0;
+  // Replicas holding the same prior archive one successor, built once.
+  ObjectServer::SharedSuccessor shared;
   for (size_t shard : chain) {
     if (!live_[shard]) {
       replica_store_errors_->Increment();
       continue;
     }
     StatusOr<ObjectServer::AppendResult> got =
-        shards_[shard]->Append(id, parts);
+        shards_[shard]->Append(id, parts, &shared);
     if (got.ok()) {
       ++copies;
       if (!have_delta) {

@@ -5,7 +5,6 @@
 #include <array>
 
 #include "minos/obs/metrics.h"
-#include "minos/util/clock.h"
 #include "minos/util/string_util.h"
 
 namespace minos::text {
@@ -13,13 +12,12 @@ namespace minos::text {
 namespace {
 
 /// Registry-owned pattern-matching statistics ("text.search.*"): direct
-/// scans, match yield, scanned bytes and real scan CPU time. Pointers
-/// cached once; the default registry's Reset() keeps them valid.
+/// scans, match yield and scanned bytes. Pointers cached once; the
+/// default registry's Reset() keeps them valid.
 struct SearchMetrics {
   obs::Counter* scans;
   obs::Counter* matches;
   obs::Counter* scanned_bytes;
-  obs::Histogram* scan_wall_us;
 };
 
 SearchMetrics& Metrics() {
@@ -29,7 +27,6 @@ SearchMetrics& Metrics() {
         reg.counter("text.search.scans"),
         reg.counter("text.search.matches"),
         reg.counter("text.search.scanned_bytes"),
-        reg.histogram("text.search.scan_wall_us"),
     };
   }();
   return *m;
@@ -55,8 +52,6 @@ std::vector<size_t> FindAll(std::string_view text,
   SearchMetrics& metrics = Metrics();
   metrics.scans->Increment();
   metrics.scanned_bytes->Increment(static_cast<int64_t>(text.size()));
-  static WallClock wall;  // Scan time is CPU work, not simulated time.
-  const Micros scan_started_at = wall.Now();
   const std::array<size_t, 256> skip = BuildSkipTable(pattern);
   size_t i = 0;
   while (i + m <= text.size()) {
@@ -70,8 +65,6 @@ std::vector<size_t> FindAll(std::string_view text,
     }
   }
   metrics.matches->Increment(static_cast<int64_t>(hits.size()));
-  metrics.scan_wall_us->Record(static_cast<double>(wall.Now() -
-                                                   scan_started_at));
   return hits;
 }
 

@@ -58,6 +58,22 @@ void VoiceDocument::TagFromAlignment(const text::Document& doc,
   }
 }
 
+void VoiceDocument::AppendTrack(const VoiceTrack& more, size_t text_base) {
+  const size_t sample_base = track_.pcm.size();
+  track_.pcm.Append(more.pcm.samples());
+  for (WordAlignment w : more.words) {
+    w.text_offset += text_base;
+    w.samples.begin += sample_base;
+    w.samples.end += sample_base;
+    track_.words.push_back(std::move(w));
+  }
+  for (SilenceTruth s : more.silences) {
+    s.samples.begin += sample_base;
+    s.samples.end += sample_base;
+    track_.silences.push_back(s);
+  }
+}
+
 const std::vector<VoiceComponent>& VoiceDocument::Components(
     LogicalUnit unit) const {
   return components_[static_cast<size_t>(unit)];

@@ -51,6 +51,12 @@ class VoiceDocument {
   /// at `level` is mapped to the sample range of its spoken words.
   void TagFromAlignment(const text::Document& doc, EditingLevel level);
 
+  /// Appends `more` to the track — the voice mirror of
+  /// text::Document::AppendText. Its word and silence spans are
+  /// relative to its own samples and shift past the existing ones; its
+  /// word text offsets shift by `text_base`. Tagged components stay.
+  void AppendTrack(const VoiceTrack& more, size_t text_base);
+
   /// The underlying audio.
   const VoiceTrack& track() const { return track_; }
   const PcmBuffer& pcm() const { return track_.pcm; }

@@ -199,7 +199,9 @@ TEST(CorruptionFuzzTest, InjectorWireFlipsNeverCrashEitherDecoder) {
       EXPECT_EQ(strict->state(), object::ObjectState::kArchived);
     }
     // Lenient decoding never does worse than strict decoding.
-    if (strict.ok()) EXPECT_TRUE(lenient.ok());
+    if (strict.ok()) {
+      EXPECT_TRUE(lenient.ok());
+    }
     if (lenient.ok() && report.degraded()) {
       // A salvage dropped parts; the object must still be presentable.
       EXPECT_TRUE(lenient->has_text() || !lenient->images().empty());

@@ -108,7 +108,9 @@ TEST_F(FileStoreTest, ManyFilesChurnProperty) {
       auto got = store_.Get(name);
       auto it = reference.find(name);
       ASSERT_EQ(got.ok(), it != reference.end());
-      if (got.ok()) EXPECT_EQ(*got, it->second);
+      if (got.ok()) {
+        EXPECT_EQ(*got, it->second);
+      }
     }
   }
   // Final verification pass.

@@ -17,6 +17,9 @@
 #include "minos/server/shard_router.h"
 #include "minos/text/markup.h"
 #include "minos/util/coding.h"
+#include "minos/util/random.h"
+#include "minos/util/string_util.h"
+#include "minos/voice/synthesizer.h"
 
 namespace minos::server {
 namespace {
@@ -58,6 +61,26 @@ MultimediaObject TextObject(ObjectId id, const std::string& body) {
   auto doc = parser.Parse(".PP\n" + body + "\n");
   EXPECT_TRUE(doc.ok());
   EXPECT_TRUE(obj.SetTextPart(std::move(doc).value()).ok());
+  VisualPageSpec page;
+  page.text_page = 1;
+  obj.descriptor().pages.push_back(page);
+  EXPECT_TRUE(obj.Archive().ok());
+  return obj;
+}
+
+/// A visual-mode object with both a text part and its spoken voice
+/// part, so a salvage that drops the voice still leaves it presentable.
+MultimediaObject TextAndVoiceObject(ObjectId id, const std::string& body) {
+  MultimediaObject obj(id);
+  text::MarkupParser parser;
+  auto doc = parser.Parse(".PP\n" + body + "\n");
+  EXPECT_TRUE(doc.ok());
+  auto track = voice::SpeechSynthesizer(voice::SpeakerParams{})
+                   .Synthesize(*doc);
+  EXPECT_TRUE(track.ok());
+  EXPECT_TRUE(obj.SetTextPart(std::move(doc).value()).ok());
+  EXPECT_TRUE(
+      obj.SetVoicePart(voice::VoiceDocument(std::move(track).value())).ok());
   VisualPageSpec page;
   page.text_page = 1;
   obj.descriptor().pages.push_back(page);
@@ -676,6 +699,133 @@ TEST_F(RepairTest, AppendTimeMediaErrorDegradesOneReplicaUntilRepaired) {
   EXPECT_EQ(report.under_replicated, 0u);
   EXPECT_EQ(stacks_[1]->server.object_count(), 1u);
   EXPECT_TRUE(stacks_[1]->server.Fetch(15).ok());
+}
+
+// --- Shared successors ---------------------------------------------
+//
+// A replicated Append builds its successor once and shares the image
+// with every later replica that holds the same cataloged prior. These
+// tests pin the cases where a replica must NOT share it.
+
+TEST_F(RepairTest, LaggingReplicaBuildsItsOwnSuccessor) {
+  BuildShards(2, 10);
+  const ObjectId id = 5;  // Replica chain: shard 0, then shard 1.
+  ASSERT_TRUE(router_->Store(TextObject(id, "lagging prior body")).ok());
+  auto prior = stacks_[1]->server.Fetch(id);
+  ASSERT_TRUE(prior.ok());
+  const std::string prior_text = prior->text_part().contents();
+
+  // Append A lands on shard 0 only: shard 1's media refuses the write.
+  ObjectServer::AppendParts a;
+  a.text = "alpha addendum";
+  stacks_[1]->device.SetWriteFaultHook([](uint64_t, std::string*) {
+    return Status::Corruption("media error: write refused");
+  });
+  ASSERT_TRUE(router_->Append(id, a).ok());
+  stacks_[1]->device.SetWriteFaultHook(nullptr);
+  EXPECT_EQ(router_->under_replicated(), std::set<ObjectId>{id});
+
+  // Append B reaches both. Shard 0's successor (prior+A+B) is recorded
+  // first; shard 1 holds an older prior and must build prior+B itself.
+  ObjectServer::AppendParts b;
+  b.text = "beta addendum";
+  ASSERT_TRUE(router_->Append(id, b).ok());
+  auto lead = stacks_[0]->server.Fetch(id);
+  auto lag = stacks_[1]->server.Fetch(id);
+  ASSERT_TRUE(lead.ok());
+  ASSERT_TRUE(lag.ok());
+  EXPECT_EQ(lead->text_part().contents(),
+            prior_text + "alpha addendum" + "beta addendum");
+  EXPECT_EQ(lag->text_part().contents(), prior_text + "beta addendum");
+
+  // Anti-entropy still converges the lagging replica onto the latest.
+  const RepairReport report = repair_->Sync();
+  EXPECT_EQ(report.under_replicated, 0u);
+  auto lead_bytes = stacks_[0]->server.ReadObjectBytes(id);
+  auto lag_bytes = stacks_[1]->server.ReadObjectBytes(id);
+  ASSERT_TRUE(lead_bytes.ok());
+  ASSERT_TRUE(lag_bytes.ok());
+  EXPECT_EQ(*lag_bytes, *lead_bytes);
+}
+
+TEST_F(RepairTest, SalvagedPriorIsNeverShared) {
+  BuildShards(2, 10);
+  const ObjectId id = 5;  // Replica chain: shard 0, then shard 1.
+  ASSERT_TRUE(
+      router_->Store(TextAndVoiceObject(id, "spoken prior body words")).ok());
+  // Shard 0's device flips one byte mid-image, inside the voice part's
+  // samples, on every read; with its cache emptied the Append's read of
+  // the prior reaches the device, fails the voice checksum and salvages
+  // the object without its voice part.
+  auto current = stacks_[0]->versions.Current(id);
+  ASSERT_TRUE(current.ok());
+  const uint64_t rot = current->address.offset + current->address.length / 2;
+  const uint64_t block_size = stacks_[0]->device.block_size();
+  stacks_[0]->cache.Clear();
+  stacks_[0]->device.SetReadFaultHook(
+      [&](uint64_t block, uint64_t count, std::string* out) {
+        if (rot >= block * block_size && rot < (block + count) * block_size) {
+          (*out)[rot - block * block_size] ^= 0x5A;
+        }
+        return Status::OK();
+      });
+  ObjectServer::AppendParts more;
+  more.text = "written addendum";
+  const int64_t salvages = Count("server.fetch_salvages");
+  ASSERT_TRUE(router_->Append(id, more).ok());
+  stacks_[0]->device.SetReadFaultHook(nullptr);
+  EXPECT_EQ(Count("server.fetch_salvages"), salvages + 1);
+
+  // Shard 0's successor lost the voice; shard 1 read an intact prior
+  // and must keep it.
+  auto salvaged = stacks_[0]->server.Fetch(id);
+  auto healthy = stacks_[1]->server.Fetch(id);
+  ASSERT_TRUE(salvaged.ok());
+  ASSERT_TRUE(healthy.ok());
+  EXPECT_FALSE(salvaged->has_voice());
+  ASSERT_TRUE(healthy->has_voice());
+  EXPECT_FALSE(healthy->voice_part().track().words.empty());
+  EXPECT_NE(healthy->text_part().contents().find("written addendum"),
+            std::string::npos);
+}
+
+TEST_F(RepairTest, SharedSuccessorsMatchALoneServersImages) {
+  BuildShards(2, 10);
+  ShardStack lone(&clock_);
+  const std::vector<ObjectId> ids = {3, 14};  // One primary per shard.
+  for (ObjectId id : ids) {
+    const MultimediaObject obj =
+        TextObject(id, "identity body " + std::to_string(id));
+    ASSERT_TRUE(router_->Store(obj).ok());
+    ASSERT_TRUE(lone.server.Store(obj).ok());
+  }
+  // A low sample rate keeps 200 whole-version re-archives small.
+  voice::SpeakerParams speaker;
+  speaker.sample_rate = 1000;
+  const voice::SpeechSynthesizer synth(speaker);
+  Random rng(29);
+  for (int i = 0; i < 200; ++i) {
+    const ObjectId id = ids[rng.Uniform(ids.size())];
+    const std::string words = "entry" + std::to_string(i) + " word" +
+                              std::to_string(rng.Uniform(40));
+    ObjectServer::AppendParts parts;
+    if (rng.Uniform(2) == 0) {
+      parts.text = words;
+    } else {
+      parts.voice = synth.SynthesizeWords(SplitWords(words));
+    }
+    ASSERT_TRUE(router_->Append(id, parts).ok()) << "append " << i;
+    ASSERT_TRUE(lone.server.Append(id, parts).ok()) << "append " << i;
+  }
+  for (ObjectId id : ids) {
+    auto expected = lone.server.ReadObjectBytes(id);
+    ASSERT_TRUE(expected.ok());
+    for (size_t shard = 0; shard < stacks_.size(); ++shard) {
+      auto got = stacks_[shard]->server.ReadObjectBytes(id);
+      ASSERT_TRUE(got.ok()) << "shard " << shard << " id " << id;
+      EXPECT_TRUE(*got == *expected) << "shard " << shard << " id " << id;
+    }
+  }
 }
 
 TEST_F(RepairTest, ConcurrentSessionStormConvergesOnceHealed) {

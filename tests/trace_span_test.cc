@@ -183,7 +183,9 @@ TEST(TraceSpanTest, RingBufferEvictsOldestAndCountsDrops) {
   tracer.set_metrics_registry(&registry);
   tracer.set_capacity(4);
   for (int i = 0; i < 7; ++i) {
-    TraceSpan span = tracer.StartSpan("s" + std::to_string(i));
+    std::string name = "s";
+    name += std::to_string(i);
+    TraceSpan span = tracer.StartSpan(std::move(name));
     clock.Advance(1);
   }
   EXPECT_EQ(tracer.spans().size(), 4u);
